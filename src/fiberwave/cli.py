@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -222,11 +221,8 @@ def graph_from_json(d: dict) -> MetricGraph:
 
 
 def load_json(path: str) -> dict:
-    try:
-        with open(path) as f:
-            text = f.read()
-    except OSError as exc:
-        raise exc
+    with open(path) as f:
+        text = f.read()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -468,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--flag-tol", type=float, default=RCOND_TOL)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("junction", help="compute a junction matrix from geometry")
@@ -505,8 +501,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", None) is None and args.command == "sweep":
-        args.threads = int(os.environ.get("FIBERWAVE_THREADS", "1"))
     try:
         return _COMMANDS[args.command](args)
     except (ParseError, GraphInvalid, GeometryInvalid) as exc:

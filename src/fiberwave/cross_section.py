@@ -129,21 +129,27 @@ def threshold_window(lam: float) -> float:
     return THRESHOLD_RTOL * max(1.0, abs(lam))
 
 
-def ensure_clear_of_thresholds(shape: CrossSectionShape, lam: float) -> None:
-    """Raise ThresholdCollision if lam is within the exclusion window of a
-    threshold of this shape."""
+def thresholds_below(shape: CrossSectionShape, lam: float) -> list[float]:
+    """Thresholds strictly below lam, ascending, with multiplicity: the
+    propagating modes at lam.
+
+    Raises ThresholdCollision if lam is within the exclusion window of a
+    threshold of this shape.  Every propagating-mode count and wavenumber
+    is derived from this one enumeration.
+    """
     tol = threshold_window(lam)
     n = 4
     while True:
         ths = thresholds(shape, n)
-        for t in ths:
-            if abs(lam - t) < tol:
-                raise ThresholdCollision(
-                    f"lambda={lam!r} collides with threshold {t!r} of {shape!r}"
-                )
         if ths[-1] > lam + tol:
-            return
+            break
         n *= 2
+    for t in ths:
+        if abs(lam - t) < tol:
+            raise ThresholdCollision(
+                f"lambda={lam!r} collides with threshold {t!r} of {shape!r}"
+            )
+    return [t for t in ths if t < lam]
 
 
 def propagating_count(shape: CrossSectionShape, lam: float) -> int:
@@ -151,13 +157,7 @@ def propagating_count(shape: CrossSectionShape, lam: float) -> int:
 
     Zero when lam sits below the first threshold.
     """
-    ensure_clear_of_thresholds(shape, lam)
-    n = 4
-    while True:
-        ths = thresholds(shape, n)
-        if ths[-1] > lam:
-            return sum(1 for t in ths if t < lam)
-        n *= 2
+    return len(thresholds_below(shape, lam))
 
 
 def eigenfunction(shape: CrossSectionShape, n: int, y) -> float:

@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from functools import cached_property
+from typing import Mapping, Optional, Union
+
+import numpy as np
 
 from . import cross_section as cs
 
@@ -55,6 +58,11 @@ class Transparent:
     """
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class MatrixJunction:
     """Explicit junction matrix, valid at a single lambda.
@@ -65,6 +73,11 @@ class MatrixJunction:
 
     lam: float
     matrix: tuple[tuple[complex, ...], ...]
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The matrix as a read-only complex array, built once."""
+        return _frozen(np.asarray(self.matrix, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -78,6 +91,13 @@ class TabulatedJunction:
     """
 
     table: tuple[tuple[float, tuple[tuple[complex, ...], ...]], ...]
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sample lambdas and stacked sample matrices, read-only, built once."""
+        lams = np.array([lam for lam, _ in self.table], dtype=float)
+        mats = np.array([m for _, m in self.table], dtype=complex)
+        return _frozen(lams), _frozen(mats)
 
 
 @dataclass(frozen=True)
@@ -112,18 +132,11 @@ class MetricGraph:
     def channel(self, cid: int) -> Channel:
         return self._channel_map[cid]
 
-    def vertex(self, vid: int) -> Vertex:
-        return self._vertex_map[vid]
-
-    @property
+    @cached_property
     def _channel_map(self) -> dict[int, Channel]:
         return {c.id: c for c in self.channels}
 
-    @property
-    def _vertex_map(self) -> dict[int, Vertex]:
-        return {v.id: v for v in self.vertices}
-
-    @property
+    @cached_property
     def infinite_channel_ids(self) -> tuple[int, ...]:
         return tuple(sorted(c.id for c in self.channels if c.is_infinite))
 
@@ -281,6 +294,14 @@ class GlobalModeOrdering:
         return self.entries.index((cid, n))
 
 
+def mode_ordering(g: MetricGraph, counts: Mapping[int, int]) -> GlobalModeOrdering:
+    """Global ordering of the propagating modes of infinite channels, given
+    the mode count of each infinite channel id."""
+    return GlobalModeOrdering(
+        entries=tuple((cid, n) for cid in g.infinite_channel_ids for n in range(counts[cid]))
+    )
+
+
 def global_ordering(g: MetricGraph, lam: float) -> GlobalModeOrdering:
     """Ordered (channel, mode) list of all propagating modes of infinite
     channels at lambda.
@@ -288,9 +309,7 @@ def global_ordering(g: MetricGraph, lam: float) -> GlobalModeOrdering:
     Raises ThresholdCollision when lambda sits within the exclusion window
     of a threshold of any infinite channel.
     """
-    entries: list[tuple[int, int]] = []
-    for cid in g.infinite_channel_ids:  # ascending ids
-        chan = g.channel(cid)
-        count = cs.propagating_count(chan.cross_section, lam)
-        entries.extend((cid, n) for n in range(count))
-    return GlobalModeOrdering(entries=tuple(entries))
+    return mode_ordering(
+        g,
+        {cid: cs.propagating_count(g.channel(cid).cross_section, lam) for cid in g.infinite_channel_ids},
+    )

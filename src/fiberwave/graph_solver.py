@@ -50,11 +50,14 @@ from .graph_model import (
     TabulatedJunction,
     Transparent,
     Vertex,
-    global_ordering,
+    mode_ordering,
     validate_graph,
 )
 
 #: Below this reciprocal condition number a solve is flagged, not certified.
+#: It bounds the estimate of sigma_min / sigma_max of the assembled
+#: amplitude system (the 2-norm reciprocal condition), as computed by
+#: _estimate_rcond.
 RCOND_TOL = 1e-10
 
 _TWO_PI = np.longdouble("6.283185307179586476925286766559005768394")
@@ -139,26 +142,9 @@ class LinearSystem:
     unknowns: list[tuple[int, str, int]]  # (channel id, "alpha"|"beta", mode)
     ordering: GlobalModeOrdering
     resolved: list[VertexScatteringResolved]
+    ks: dict[int, np.ndarray]  # channel id -> wavenumbers of its propagating modes
     lam: float
     eps: float
-
-
-def _propagating_k(chan, lam: float) -> np.ndarray:
-    """Longitudinal wavenumbers sqrt(lam - threshold) of the propagating
-    modes of one channel; raises SingularAtThreshold within the exclusion
-    window of a threshold."""
-    try:
-        count = cs.propagating_count(chan.cross_section, lam)
-    except cs.ThresholdCollision as exc:
-        raise SingularAtThreshold(
-            f"lambda={lam!r} collides with a threshold of channel {chan.id}"
-        ) from exc
-    ths = cs.thresholds(chan.cross_section, count) if count else []
-    return np.sqrt(lam - np.asarray(ths, dtype=float)) if count else np.zeros(0)
-
-
-def _vertex_floor(g: MetricGraph, v: Vertex) -> float:
-    return min(cs.thresholds(g.channel(cid).cross_section, 1)[0] for cid, _ in v.ends)
 
 
 def symmetric_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -179,19 +165,22 @@ def admissible_junction(d_diag: np.ndarray, rng: np.random.Generator) -> np.ndar
 
 def resolve_vertex(g: MetricGraph, v: Vertex, lam: float) -> VertexScatteringResolved:
     """Junction matrix, local mode order and local wavenumber diagonal of a
-    vertex at the given lambda."""
+    vertex at the given lambda; SingularAtThreshold within the exclusion
+    window of a threshold of an incident channel."""
     entries: list[tuple[int, str, int]] = []
-    d: list[float] = []
-    per_end_counts: list[int] = []
+    per_end_ks: list[np.ndarray] = []
     for cid, which in v.ends:
-        chan = g.channel(cid)
-        ks = _propagating_k(chan, lam)
-        per_end_counts.append(len(ks))
-        for n, k in enumerate(ks):
-            entries.append((cid, which, n))
-            d.append(float(k))
+        try:
+            ths = cs.thresholds_below(g.channel(cid).cross_section, lam)
+        except cs.ThresholdCollision as exc:
+            raise SingularAtThreshold(
+                f"lambda={lam!r} collides with a threshold of channel {cid}"
+            ) from exc
+        ks = np.sqrt(lam - np.asarray(ths, dtype=float))
+        per_end_ks.append(ks)
+        entries.extend((cid, which, n) for n in range(len(ks)))
     dim = len(entries)
-    d_arr = np.asarray(d, dtype=float)
+    d_arr = np.concatenate(per_end_ks) if per_end_ks else np.zeros(0)
 
     j = v.junction
     if isinstance(j, Dirichlet):
@@ -199,7 +188,7 @@ def resolve_vertex(g: MetricGraph, v: Vertex, lam: float) -> VertexScatteringRes
     elif isinstance(j, Transparent):
         if len(v.ends) != 2:
             raise UnresolvableJunction(f"vertex {v.id}: transparent junction needs two ends")
-        p0, p1 = per_end_counts
+        p0, p1 = (len(ks) for ks in per_end_ks)
         if p0 != p1:
             raise DimensionMismatch(f"vertex {v.id}: transparent ends have {p0} vs {p1} modes")
         t = np.zeros((dim, dim), dtype=complex)
@@ -210,7 +199,7 @@ def resolve_vertex(g: MetricGraph, v: Vertex, lam: float) -> VertexScatteringRes
             raise UnresolvableJunction(
                 f"vertex {v.id}: matrix junction declared at lambda={j.lam!r}, requested {lam!r}"
             )
-        t = np.asarray(j.matrix, dtype=complex)
+        t = j.array
     elif isinstance(j, TabulatedJunction):
         t = _interpolate_table(g, v, j, lam)
     elif isinstance(j, OracleJunction):
@@ -226,15 +215,14 @@ def resolve_vertex(g: MetricGraph, v: Vertex, lam: float) -> VertexScatteringRes
 
 
 def _interpolate_table(g, v, j: TabulatedJunction, lam: float) -> np.ndarray:
-    lams = np.array([lam_i for lam_i, _ in j.table], dtype=float)
-    mats = [np.asarray(m, dtype=complex) for _, m in j.table]
+    lams, mats = j.arrays
     if not lams[0] <= lam <= lams[-1]:
         raise UnresolvableJunction(
             f"vertex {v.id}: lambda={lam!r} outside tabulated range [{lams[0]!r}, {lams[-1]!r}]"
         )
     if len(mats) == 1:
         return mats[0]
-    floor = _vertex_floor(g, v)
+    floor = min(cs.thresholds(g.channel(cid).cross_section, 1)[0] for cid, _ in v.ends)
     z = math.sqrt(max(lam - floor, 0.0))
     zs = np.sqrt(np.maximum(lams - floor, 0.0))
     i = int(np.searchsorted(zs, z, side="right"))
@@ -282,10 +270,16 @@ def assemble_system(g: MetricGraph, req: SolveRequest) -> LinearSystem:
         raise GraphInvalid(violations)
     lam, eps = req.lam, req.eps
 
-    ks: dict[int, np.ndarray] = {}
-    for chan in g.channels:
-        ks[chan.id] = _propagating_k(chan, lam)
-    ordering = global_ordering(g, lam)  # cannot collide: all channels checked above
+    resolved = [resolve_vertex(g, v, lam) for v in g.vertices]
+    # Every channel's start end belongs to exactly one vertex (the graph is
+    # valid), so the wavenumbers of that end are the channel's.
+    start_ks: dict[int, list[float]] = {chan.id: [] for chan in g.channels}
+    for res in resolved:
+        for (cid, which, _n), k in zip(res.entries, res.d_diag):
+            if which == START:
+                start_ks[cid].append(k)
+    ks = {cid: np.asarray(k, dtype=float) for cid, k in start_ks.items()}
+    ordering = mode_ordering(g, {cid: len(k) for cid, k in ks.items()})
 
     unknowns: list[tuple[int, str, int]] = []
     for chan in g.channels:
@@ -299,11 +293,8 @@ def assemble_system(g: MetricGraph, req: SolveRequest) -> LinearSystem:
     inc_col_of = {e: n_unknowns + i for i, e in enumerate(ordering.entries)}
 
     width = n_unknowns + m
-    resolved: list[VertexScatteringResolved] = []
     blocks: list[np.ndarray] = []
-    for v in g.vertices:
-        res = resolve_vertex(g, v, lam)
-        resolved.append(res)
+    for res in resolved:
         dim = res.dim
         if dim == 0:
             blocks.append(np.zeros((0, width), dtype=complex))
@@ -342,14 +333,15 @@ def assemble_system(g: MetricGraph, req: SolveRequest) -> LinearSystem:
             f"assembled system is {a.shape[0]} x {a.shape[1]}; graph bookkeeping is broken"
         )
     return LinearSystem(
-        matrix=a, rhs=rhs, unknowns=unknowns, ordering=ordering, resolved=resolved, lam=lam, eps=eps
+        matrix=a, rhs=rhs, unknowns=unknowns, ordering=ordering, resolved=resolved, ks=ks, lam=lam, eps=eps
     )
 
 
-def _estimate_rcond(a: np.ndarray, lu_piv, rng: np.random.Generator, iters: int = 30) -> float:
-    """Reciprocal condition estimate: power iteration for the largest
-    singular value, inverse power iteration through the LU factors for the
-    smallest."""
+def _estimate_rcond(a: np.ndarray, lu_piv, rng: np.random.Generator) -> float:
+    """Estimate of sigma_min / sigma_max, the 2-norm reciprocal condition:
+    power iteration for the largest singular value, inverse power
+    iteration through the LU factors for the smallest.  An exactly
+    singular factorization gives 0."""
     n = a.shape[0]
     if n == 0:
         return 1.0
@@ -367,9 +359,10 @@ def _estimate_rcond(a: np.ndarray, lu_piv, rng: np.random.Generator, iters: int 
     x = rng.normal(size=n) + 1j * rng.normal(size=n)
     x /= np.linalg.norm(x)
     inv_smin = 0.0
-    for _ in range(iters):
-        y = lu_solve(lu_piv, x, trans=2)
-        x = lu_solve(lu_piv, y, trans=0)
+    for _ in range(30):
+        # a zero pivot makes y infinite; the guard below returns 0
+        y = lu_solve(lu_piv, x, trans=2, check_finite=False)
+        x = lu_solve(lu_piv, y, trans=0, check_finite=False)
         nx = np.linalg.norm(x)
         if not np.isfinite(nx) or nx == 0:
             return 0.0
@@ -413,9 +406,10 @@ def solve_scattering(
                 ok = False
             else:
                 x = lu_solve(lu_piv, system.rhs)
-                # one step of iterative refinement
+                # one step of iterative refinement; an exactly singular LU
+                # leaves x non-finite, which the check below catches
                 resid = system.rhs - system.matrix @ x
-                x += lu_solve(lu_piv, resid)
+                x += lu_solve(lu_piv, resid, check_finite=False)
                 ok = bool(np.all(np.isfinite(x)))
             rcond = _estimate_rcond(system.matrix, lu_piv, rng) if ok else 0.0
     else:
@@ -430,12 +424,8 @@ def solve_scattering(
         raise NearSingular(rcond, lam)
 
     row_of = {u: i for i, u in enumerate(system.unknowns)}
-    d_diag = np.array(
-        [
-            math.sqrt(lam - cs.thresholds(g.channel(cid).cross_section, nn + 1)[nn])
-            for cid, nn in ordering.entries
-        ]
-    )
+    ks = system.ks
+    d_diag = np.array([ks[cid][nn] for cid, nn in ordering.entries], dtype=float)
     t = np.zeros((m, m), dtype=complex)
     for r, (cid, nn) in enumerate(ordering.entries):
         t[r, :] = x[row_of[(cid, "alpha", nn)], :]
@@ -446,13 +436,12 @@ def solve_scattering(
 
     wanted = range(m) if req.incident is None else [ordering.index(*req.incident)]
     fields: list[EdgeWaveField] = []
-    counts = {chan.id: len(_propagating_k(chan, lam)) for chan in g.channels}
     for c in wanted:
         inc = ordering.entries[c]
         alpha: dict[int, np.ndarray] = {}
         beta: dict[int, np.ndarray] = {}
         for chan in g.channels:
-            p = counts[chan.id]
+            p = len(ks[chan.id])
             av = np.array([x[row_of[(chan.id, "alpha", i)], c] for i in range(p)], dtype=complex)
             if chan.is_infinite:
                 bv = np.zeros(p, dtype=complex)

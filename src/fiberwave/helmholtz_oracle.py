@@ -245,11 +245,11 @@ class _Grid:
         phi = np.sqrt(2.0 / w) * np.sin(np.outer((n + 1) * math.pi / width_cells, q))
         mu = (2.0 / h**2) * (1.0 - np.cos((n + 1) * math.pi / width_cells))
         n_prop = int(np.sum(mu < lam))
-        cont_prop = cs.propagating_count(cs.Interval(w), lam) if lam > 0 else 0
-        if n_prop != cont_prop:
+        ths = cs.thresholds_below(cs.Interval(w), lam) if lam > 0 else []
+        if n_prop != len(ths):
             raise GridTooCoarse(
                 f"stub {si}: discrete grid sees {n_prop} propagating modes, continuum has "
-                f"{cont_prop}; lambda = {lam!r} too close to a threshold for h = {h!r}"
+                f"{len(ths)}; lambda = {lam!r} too close to a threshold for h = {h!r}"
             )
         n_retained = min(n_prop + n_ev, n_t)
         # The discrete outgoing wave of mode n advances by theta_n per cell:
@@ -257,8 +257,7 @@ class _Grid:
         # discrete ratio makes the truncation reflection-free, so the
         # computed matrix is insensitive to the stub length.
         theta = np.arccos(1.0 - h * h * (lam - mu[:n_prop]) / 2.0) if n_prop else np.zeros(0)
-        ths = cs.thresholds(cs.Interval(w), n_prop) if n_prop else []
-        k_cont = np.sqrt(lam - np.asarray(ths)) if n_prop else np.zeros(0)
+        k_cont = np.sqrt(lam - np.asarray(ths, dtype=float))
         return _StubData(
             index=si,
             axis=axis,

@@ -29,7 +29,7 @@ from .errors import (
     IntervalContainsThreshold,
     ThresholdCollision,
 )
-from .graph_model import MetricGraph
+from .graph_model import MetricGraph, global_ordering
 from .graph_solver import (
     RCOND_TOL,
     SolveRequest,
@@ -61,29 +61,25 @@ class SweepResult:
 
 
 def _check_interval_clear(g: MetricGraph, lam_lo: float, lam_hi: float) -> None:
+    """A threshold lies inside the interval iff a channel's propagating
+    mode count differs between its ends."""
     for chan in g.channels:
-        for lam in (lam_lo, lam_hi):
-            try:
-                cs.ensure_clear_of_thresholds(chan.cross_section, lam)
-            except ThresholdCollision as exc:
-                raise IntervalContainsThreshold(str(exc)) from exc
-        n = 4
-        while True:
-            ths = cs.thresholds(chan.cross_section, n)
-            for t in ths:
-                if lam_lo < t < lam_hi:
-                    raise IntervalContainsThreshold(
-                        f"threshold {t!r} of channel {chan.id} lies inside [{lam_lo!r}, {lam_hi!r}]"
-                    )
-            if ths[-1] > lam_hi:
-                break
-            n *= 2
+        try:
+            below_lo = cs.thresholds_below(chan.cross_section, lam_lo)
+            below_hi = cs.thresholds_below(chan.cross_section, lam_hi)
+        except ThresholdCollision as exc:
+            raise IntervalContainsThreshold(str(exc)) from exc
+        if len(below_hi) != len(below_lo):
+            t = below_hi[len(below_lo)]
+            raise IntervalContainsThreshold(
+                f"threshold {t!r} of channel {chan.id} lies inside [{lam_lo!r}, {lam_hi!r}]"
+            )
 
 
 _GOLDEN = 0.6180339887498949
 
 
-def _refine_dip(f, a: float, b: float, iters: int = 90) -> tuple[float, float]:
+def _refine_dip(f, a: float, b: float) -> tuple[float, float]:
     """Golden-section minimization tracking the best evaluated point.
 
     The conditioning curve dips like |lam - lam*| at a resonance, so the
@@ -94,7 +90,7 @@ def _refine_dip(f, a: float, b: float, iters: int = 90) -> tuple[float, float]:
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
     best_x, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
-    for _ in range(iters):
+    for _ in range(90):
         if b - a <= 4.0 * np.finfo(float).eps * max(1.0, abs(a)):
             break
         if f1 <= f2:
@@ -136,15 +132,14 @@ def sweep(
     *,
     flag_tol: float = RCOND_TOL,
     threads: int = 1,
-    refine_dips: bool = True,
 ) -> SweepResult:
     """Solve the graph on a uniform lambda grid and flag resonances.
 
     The interval must exclude every cross-section threshold of every
     channel.  Uncertified grid points are grouped into maximal flagged
-    intervals; with `refine_dips` (default) each strict local minimum of
-    the conditioning curve is traced to its bottom and the enclosing grid
-    cells are flagged when the minimum falls below `flag_tol`.
+    intervals; each strict local minimum of the conditioning curve is
+    traced to its bottom and the enclosing grid cells are flagged when the
+    minimum falls below `flag_tol`.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
@@ -175,7 +170,7 @@ def sweep(
     else:
         rows = [solve_one(lam) for lam in lams]
 
-    if refine_dips and steps >= 3:
+    if steps >= 3:
         step = (lam_hi - lam_lo) / (steps - 1)
         rc = np.array([r.rcond for r in rows])
         for i in range(1, steps - 1):
@@ -207,11 +202,12 @@ def sweep(
     if run_start is not None:
         flagged.append((run_start, prev_lam))
 
-    entries = solve_scattering(
-        g, SolveRequest(lam=float(lams[0]), eps=eps), allow_flagged=True
-    )[1].ordering.entries
     return SweepResult(
-        rows=rows, flagged_intervals=flagged, ordering_entries=entries, eps=eps, flag_tol=flag_tol
+        rows=rows,
+        flagged_intervals=flagged,
+        ordering_entries=global_ordering(g, lam_lo).entries,
+        eps=eps,
+        flag_tol=flag_tol,
     )
 
 

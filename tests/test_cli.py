@@ -355,27 +355,3 @@ def test_exit_codes_parse_and_io(tmp_path, capsys):
     )
     rc = main(["solve", "--graph", invalid, "--lambda", "2", "--eps", "0.1"])
     assert rc == EXIT_INVALID
-
-
-def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FIBERWAVE_THREADS", "2")
-    out_csv = tmp_path / "sp.csv"
-    rc = main(
-        [
-            "sweep",
-            "--graph",
-            dirichlet_graph_json(tmp_path),
-            "--lo",
-            "1.05",
-            "--hi",
-            "2",
-            "--steps",
-            "20",
-            "--eps",
-            "0.1",
-            "--out",
-            str(out_csv),
-        ]
-    )
-    assert rc == EXIT_OK
-    assert len(out_csv.read_text().splitlines()) == 21

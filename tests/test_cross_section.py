@@ -16,6 +16,7 @@ from fiberwave.cross_section import (
     mode_table,
     propagating_count,
     thresholds,
+    thresholds_below,
 )
 from fiberwave.errors import NoInfiniteChannels, OutOfDomain, ThresholdCollision
 from fiberwave.graph_model import Channel, MetricGraph, Vertex, Dirichlet
@@ -107,6 +108,28 @@ def test_threshold_collision():
         propagating_count(Interval(math.pi), 4.0)
     with pytest.raises(ThresholdCollision):
         propagating_count(Interval(math.pi), 4.0 + 1e-12)
+
+
+@pytest.mark.parametrize("shape", [Interval(math.pi), Rectangle(1.0, 1.0), Disk(1.0)])
+def test_thresholds_below_is_filtered_spectrum(shape):
+    spectrum = thresholds(shape, 64)
+    distinct = sorted(set(spectrum))[:10]
+    # below the bottom, between each pair of consecutive distinct
+    # thresholds (the square's 5 pi^2 is double), and past the tenth
+    lams = [0.5 * distinct[0]]
+    lams += [0.5 * (a + b) for a, b in zip(distinct, distinct[1:])]
+    lams.append(distinct[-1] * 1.01)
+    for lam in lams:
+        assert thresholds_below(shape, lam) == [t for t in spectrum if t < lam]
+    assert len(thresholds_below(shape, lams[-1])) >= 10
+
+
+@pytest.mark.parametrize("shape", [Interval(math.pi), Rectangle(1.0, 1.0), Disk(1.0)])
+def test_thresholds_below_raises_inside_window(shape):
+    for t in sorted(set(thresholds(shape, 16)))[:4]:
+        for lam in (t, t * (1 + 1e-10), t * (1 - 1e-10)):
+            with pytest.raises(ThresholdCollision):
+                thresholds_below(shape, lam)
 
 
 def test_lambda0():

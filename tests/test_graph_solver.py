@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor
 
 from fiberwave.cross_section import Interval
 from fiberwave.errors import (
@@ -26,6 +28,7 @@ from fiberwave.graph_model import (
 )
 from fiberwave.graph_solver import (
     EdgeWaveField,
+    _estimate_rcond,
     SolveRequest,
     admissible_junction,
     assemble_system,
@@ -385,3 +388,21 @@ def test_incident_selection_returns_single_field():
     assert len(fields) == 1
     assert fields[0].incident == (2, 0)
     assert ns.t.shape == (2, 2)  # matrix always full
+
+
+def test_estimate_rcond_exactly_singular_is_zero():
+    a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns on the zero pivot
+        lu_piv = lu_factor(a)
+        assert _estimate_rcond(a, lu_piv, np.random.default_rng(0)) == 0.0
+
+
+@pytest.mark.parametrize("n", [20, 100])
+def test_estimate_rcond_is_two_norm_reciprocal_condition(n):
+    # RCOND_TOL bounds sigma_min / sigma_max; pin the estimate to it
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    est = _estimate_rcond(a, lu_factor(a), np.random.default_rng(0x5EED))
+    exact = 1.0 / np.linalg.cond(a, 2)
+    assert abs(est - exact) <= 0.05 * exact

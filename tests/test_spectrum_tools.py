@@ -7,11 +7,13 @@ import math
 import numpy as np
 import pytest
 
+from fiberwave.cross_section import Interval
 from fiberwave.errors import (
     DimensionMismatch,
     InsufficientSamples,
     IntervalContainsThreshold,
 )
+from fiberwave.graph_model import Channel, Dirichlet, MetricGraph, Vertex
 from fiberwave.spectrum_tools import export_spectrum, sweep, threshold_extrapolate
 
 from conftest import dirichlet_edge_graph, dirichlet_lead, fabry_perot_line
@@ -64,6 +66,17 @@ def test_sweep_rejects_threshold_in_interval():
         sweep(dirichlet_lead(), 0.1, 3.0, 5.0, 10)  # contains threshold 4
     with pytest.raises(IntervalContainsThreshold):
         sweep(dirichlet_lead(), 0.1, 4.0, 4.5, 10)  # endpoint collides
+    # the first channel propagates one mode throughout [1.5, 3.0]; the
+    # second (thresholds 2.25, 9, ...) gains one at 2.25
+    g = MetricGraph(
+        channels=(
+            Channel(1, math.inf, Interval(math.pi), 1, None),
+            Channel(2, math.inf, Interval(math.pi / 1.5), 1, None),
+        ),
+        vertices=(Vertex(1, ((1, "start"), (2, "start")), Dirichlet()),),
+    )
+    with pytest.raises(IntervalContainsThreshold, match="channel 2"):
+        sweep(g, 0.1, 1.5, 3.0, 10)
 
 
 def test_sweep_threads_deterministic(tmp_path):
