@@ -26,11 +26,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from . import cross_section as cs
 from .errors import (
@@ -63,12 +65,13 @@ RCOND_TOL = 1e-10
 _TWO_PI = np.longdouble("6.283185307179586476925286766559005768394")
 
 
-def propagation_phase(k: float, length: float, eps: float) -> complex:
-    """exp(i k length / eps) with the argument reduced mod 2 pi in extended
-    precision, so the phase stays accurate for eps down to 1e-6."""
-    phi = np.longdouble(k) * np.longdouble(length) / np.longdouble(eps)
-    phi = np.mod(phi, _TWO_PI)
-    return complex(np.cos(np.float64(phi)), np.sin(np.float64(phi)))
+def propagation_phase(k, length, eps: float):
+    """exp(i k length / eps), elementwise over arrays, with the argument
+    reduced mod 2 pi in extended precision, so the phase stays accurate for
+    eps down to 1e-6."""
+    phi = np.asarray(k, dtype=np.longdouble) * np.asarray(length, dtype=np.longdouble) / np.longdouble(eps)
+    phi = np.mod(phi, _TWO_PI).astype(np.float64)
+    return np.cos(phi) + 1j * np.sin(phi)
 
 
 @dataclass(frozen=True)
@@ -145,6 +148,7 @@ class LinearSystem:
     ks: dict[int, np.ndarray]  # channel id -> wavenumbers of its propagating modes
     lam: float
     eps: float
+    plan: _SolvePlan  # the index arrays the system was scattered through
 
 
 def symmetric_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -255,6 +259,93 @@ def _resolve_oracle(g: MetricGraph, v, j: OracleJunction, lam: float) -> np.ndar
     return _oracle_cache[key]
 
 
+@dataclass(frozen=True, eq=False)
+class _SolvePlan:
+    """Index arrays of a graph's amplitude system for one set of
+    propagating-mode counts; every lambda at which those counts hold reuses
+    them.
+
+    Rows follow the vertices and their local entries.  Each row pairs the
+    amplitude leaving the vertex (alpha at a start end, beta at a far end)
+    with the one arriving (the other), and a far-end row carries the phase
+    exp(i k length / eps).  Columns are the unknowns followed by the
+    incident waves, one per entry of the mode ordering.
+    """
+
+    entries: tuple[tuple[tuple[int, str, int], ...], ...]  # per vertex, as resolved
+    unknowns: tuple[tuple[int, str, int], ...]
+    ordering: GlobalModeOrdering
+    end_rows: np.ndarray  # rows at the far end of a finite channel
+    end_lengths: np.ndarray  # that channel's length, extended precision
+    alpha_rows: np.ndarray  # row of each alpha unknown's start end (its wavenumber)
+    block_src: np.ndarray  # row whose incoming phase scales each junction-matrix entry
+    index: np.ndarray  # flat positions: junction-matrix entries, then one outgoing entry per row
+    channel_slices: tuple[tuple[int, slice, slice], ...]  # (channel id, alpha columns, beta columns)
+    ordering_alpha: np.ndarray  # alpha column of each entry of the mode ordering
+
+
+def _build_plan(g: MetricGraph, entries: tuple[tuple[tuple[int, str, int], ...], ...]) -> _SolvePlan:
+    counts = Counter(cid for vertex_entries in entries for cid, which, _n in vertex_entries if which == START)
+    ordering = mode_ordering(g, counts)
+    # Column groups: the alpha unknowns of every channel and the beta
+    # unknowns of finite channels, then the incident betas of infinite
+    # channels in mode-ordering order.
+    groups = [(chan.id, "alpha") for chan in g.channels]
+    groups += [(chan.id, "beta") for chan in g.channels if not chan.is_infinite]
+    unknowns = tuple((cid, kind, n) for cid, kind in groups for n in range(counts[cid]))
+    groups += [(cid, "beta") for cid in g.infinite_channel_ids]
+    first = dict(zip(groups, accumulate((counts[cid] for cid, _kind in groups), initial=0)))
+    n_unknowns = len(unknowns)
+    width = n_unknowns + ordering.M
+
+    out_cols: list[int] = []
+    in_cols: list[int] = []
+    end_rows: list[int] = []
+    end_lengths: list[float] = []
+    length_of = {chan.id: chan.length for chan in g.channels}
+    alpha_rows = np.zeros(counts.total(), dtype=np.intp)  # one alpha unknown per start-end mode
+    for row, (cid, which, n) in enumerate(e for vertex_entries in entries for e in vertex_entries):
+        ca, cb = first[cid, "alpha"] + n, first[cid, "beta"] + n
+        if which == START:
+            out_cols.append(ca)
+            in_cols.append(cb)
+            alpha_rows[ca] = row
+        else:
+            out_cols.append(cb)
+            in_cols.append(ca)
+            end_rows.append(row)
+            end_lengths.append(length_of[cid])
+    if len(out_cols) != n_unknowns:
+        raise AssertionError(
+            f"assembled system is {len(out_cols)} x {n_unknowns}; graph bookkeeping is broken"
+        )
+
+    # Entry (i, j) of a vertex's T_v lands on the vertex's row i and on the
+    # incoming column of its row j.
+    vertex_rows = np.split(np.arange(n_unknowns), np.cumsum([len(e) for e in entries])[:-1])
+    block_rows = np.concatenate([np.repeat(rows, len(rows)) for rows in vertex_rows])
+    block_src = np.concatenate([np.tile(rows, len(rows)) for rows in vertex_rows])
+
+    def span(cid: int, kind: str) -> slice:
+        return slice(first[cid, kind], first[cid, kind] + counts[cid])
+
+    return _SolvePlan(
+        entries=entries,
+        unknowns=unknowns,
+        ordering=ordering,
+        end_rows=np.asarray(end_rows, dtype=np.intp),
+        end_lengths=np.asarray(end_lengths, dtype=np.longdouble),
+        alpha_rows=alpha_rows,
+        block_src=block_src,
+        index=np.concatenate(
+            (block_rows * width + np.asarray(in_cols, dtype=np.intp)[block_src],
+             np.arange(n_unknowns) * width + np.asarray(out_cols, dtype=np.intp))
+        ),
+        channel_slices=tuple((chan.id, span(chan.id, "alpha"), span(chan.id, "beta")) for chan in g.channels),
+        ordering_alpha=np.asarray([first[cid, "alpha"] + n for cid, n in ordering.entries], dtype=np.intp),
+    )
+
+
 def assemble_system(g: MetricGraph, req: SolveRequest) -> LinearSystem:
     """Assemble the vertex coupling conditions into a square complex system.
 
@@ -263,85 +354,63 @@ def assemble_system(g: MetricGraph, req: SolveRequest) -> LinearSystem:
     channels form the right-hand sides.  Traces at the far end of a finite
     edge are taken in the reversed parameter tau = length - t, which flips
     the derivative and attaches unit-modulus phase factors
-    exp(+-i k length / eps).
+    exp(+-i k length / eps).  Row by row the coupling condition then reads
+
+        2i (outgoing - T_v incoming) = 0,
+
+    which is scattered into the matrix through the graph's solve plan.  The
+    plan is built once per graph, after one validate_graph call, and again
+    only when some channel's propagating-mode count changes.
     """
-    violations = validate_graph(g)
-    if violations:
-        raise GraphInvalid(violations)
+    # The plan lives on the (immutable) graph instance; it is itself
+    # immutable, so threads sweeping one graph may share or rebuild it.
+    plan: Optional[_SolvePlan] = getattr(g, "_solve_plan", None)
+    if plan is None:
+        violations = validate_graph(g)
+        if violations:
+            raise GraphInvalid(violations)
     lam, eps = req.lam, req.eps
 
     resolved = [resolve_vertex(g, v, lam) for v in g.vertices]
+    entries = tuple(res.entries for res in resolved)
+    if plan is None or plan.entries != entries:
+        plan = _build_plan(g, entries)
+        object.__setattr__(g, "_solve_plan", plan)
+
     # Every channel's start end belongs to exactly one vertex (the graph is
     # valid), so the wavenumbers of that end are the channel's.
-    start_ks: dict[int, list[float]] = {chan.id: [] for chan in g.channels}
-    for res in resolved:
-        for (cid, which, _n), k in zip(res.entries, res.d_diag):
-            if which == START:
-                start_ks[cid].append(k)
-    ks = {cid: np.asarray(k, dtype=float) for cid, k in start_ks.items()}
-    ordering = mode_ordering(g, {cid: len(k) for cid, k in ks.items()})
+    k_rows = np.concatenate([res.d_diag for res in resolved])
+    k_alpha = k_rows[plan.alpha_rows]
+    ks = {cid: k_alpha[a] for cid, a, _b in plan.channel_slices}
 
-    unknowns: list[tuple[int, str, int]] = []
-    for chan in g.channels:
-        unknowns.extend((chan.id, "alpha", n) for n in range(len(ks[chan.id])))
-    for chan in g.channels:
-        if not chan.is_infinite:
-            unknowns.extend((chan.id, "beta", n) for n in range(len(ks[chan.id])))
-    col_of = {u: i for i, u in enumerate(unknowns)}
-    n_unknowns = len(unknowns)
-    m = ordering.M
-    inc_col_of = {e: n_unknowns + i for i, e in enumerate(ordering.entries)}
-
-    width = n_unknowns + m
-    blocks: list[np.ndarray] = []
-    for res in resolved:
-        dim = res.dim
-        if dim == 0:
-            blocks.append(np.zeros((0, width), dtype=complex))
-            continue
-        val = np.zeros((dim, width), dtype=complex)
-        der = np.zeros((dim, width), dtype=complex)
-        for r, (cid, which, n) in enumerate(res.entries):
-            chan = g.channel(cid)
-            k = ks[cid][n]
-            ca = col_of[(cid, "alpha", n)]
-            if chan.is_infinite:
-                cb = inc_col_of[(cid, n)]
-            else:
-                cb = col_of[(cid, "beta", n)]
-            if which == START:
-                val[r, ca] += 1.0
-                val[r, cb] += 1.0
-                der[r, ca] += 1j * k / eps
-                der[r, cb] += -1j * k / eps
-            else:
-                p = propagation_phase(k, chan.length, eps)
-                val[r, ca] += p
-                val[r, cb] += np.conj(p)
-                der[r, ca] += -1j * k / eps * p
-                der[r, cb] += 1j * k / eps * np.conj(p)
-        i_v = np.eye(dim, dtype=complex)
-        t_v = res.t_matrix
-        rows = eps * (i_v + t_v) @ (der / res.d_diag[:, None]) + 1j * (i_v - t_v) @ val
-        blocks.append(rows)
-
-    full = np.vstack(blocks) if blocks else np.zeros((0, width), dtype=complex)
-    a = full[:, :n_unknowns]
-    rhs = -full[:, n_unknowns:]
-    if a.shape[0] != a.shape[1]:
-        raise AssertionError(
-            f"assembled system is {a.shape[0]} x {a.shape[1]}; graph bookkeeping is broken"
-        )
+    in_phase = np.ones(len(k_rows), dtype=complex)
+    in_phase[plan.end_rows] = propagation_phase(k_rows[plan.end_rows], plan.end_lengths, eps)
+    t_flat = np.concatenate([res.t_matrix.ravel() for res in resolved])
+    values = 2j * np.concatenate((-t_flat * in_phase[plan.block_src], in_phase.conj()))
+    n = len(plan.unknowns)
+    full = np.zeros((n, n + plan.ordering.M), dtype=complex)
+    # accumulate: a loop channel puts two rows of one vertex on one column
+    np.add.at(full.reshape(-1), plan.index, values)
     return LinearSystem(
-        matrix=a, rhs=rhs, unknowns=unknowns, ordering=ordering, resolved=resolved, ks=ks, lam=lam, eps=eps
+        matrix=full[:, :n],
+        rhs=-full[:, n:],
+        unknowns=list(plan.unknowns),
+        ordering=plan.ordering,
+        resolved=resolved,
+        ks=ks,
+        lam=lam,
+        eps=eps,
+        plan=plan,
     )
 
 
 def _estimate_rcond(a: np.ndarray, lu_piv, rng: np.random.Generator) -> float:
-    """Estimate of sigma_min / sigma_max, the 2-norm reciprocal condition:
-    power iteration for the largest singular value, inverse power
-    iteration through the LU factors for the smallest.  An exactly
-    singular factorization gives 0."""
+    """Estimate of sigma_min / sigma_max of `a`, its 2-norm reciprocal
+    condition number: 12 steps of power iteration on A^H A for sigma_max
+    and 30 steps of inverse power iteration through the LU factors for
+    sigma_min.  It makes no copy of `a` or of the factors: A^H y is formed
+    as conj(conj(y) @ A) and the triangular solves call LAPACK getrs
+    directly.  An exactly singular factorization gives 0."""
     n = a.shape[0]
     if n == 0:
         return 1.0
@@ -350,7 +419,7 @@ def _estimate_rcond(a: np.ndarray, lu_piv, rng: np.random.Generator) -> float:
     smax = 0.0
     for _ in range(12):
         y = a @ x
-        x = a.conj().T @ y
+        x = np.conj(np.conj(y) @ a)
         nx = np.linalg.norm(x)
         if nx == 0:
             break
@@ -358,11 +427,15 @@ def _estimate_rcond(a: np.ndarray, lu_piv, rng: np.random.Generator) -> float:
         x /= nx
     x = rng.normal(size=n) + 1j * rng.normal(size=n)
     x /= np.linalg.norm(x)
+    lu, piv = lu_piv
+    # chosen from both: a real factor alone selects the real routine, which
+    # would drop the imaginary part of the iterate
+    (getrs,) = get_lapack_funcs(("getrs",), (lu, x))
     inv_smin = 0.0
     for _ in range(30):
         # a zero pivot makes y infinite; the guard below returns 0
-        y = lu_solve(lu_piv, x, trans=2, check_finite=False)
-        x = lu_solve(lu_piv, y, trans=0, check_finite=False)
+        y, _info = getrs(lu, piv, x, trans=2)
+        x, _info = getrs(lu, piv, y, trans=0)
         nx = np.linalg.norm(x)
         if not np.isfinite(nx) or nx == 0:
             return 0.0
@@ -423,35 +496,30 @@ def solve_scattering(
     if not certified and not allow_flagged:
         raise NearSingular(rcond, lam)
 
-    row_of = {u: i for i, u in enumerate(system.unknowns)}
+    plan = system.plan
     ks = system.ks
     d_diag = np.array([ks[cid][nn] for cid, nn in ordering.entries], dtype=float)
-    t = np.zeros((m, m), dtype=complex)
-    for r, (cid, nn) in enumerate(ordering.entries):
-        t[r, :] = x[row_of[(cid, "alpha", nn)], :]
+    t = x[plan.ordering_alpha, :]
 
     ns = NetworkScattering(
         t=t, d_diag=d_diag, ordering=ordering, lam=lam, eps=eps, rcond=rcond, certified=certified
     )
 
-    wanted = range(m) if req.incident is None else [ordering.index(*req.incident)]
+    wanted = list(range(m)) if req.incident is None else [ordering.index(*req.incident)]
+    # one row per wanted incident wave: its unknowns, then the incident
+    # indicator, in the column order of the assembly
+    amplitudes = np.hstack([x.T[wanted], np.eye(m)[wanted]])
     fields: list[EdgeWaveField] = []
-    for c in wanted:
-        inc = ordering.entries[c]
-        alpha: dict[int, np.ndarray] = {}
-        beta: dict[int, np.ndarray] = {}
-        for chan in g.channels:
-            p = len(ks[chan.id])
-            av = np.array([x[row_of[(chan.id, "alpha", i)], c] for i in range(p)], dtype=complex)
-            if chan.is_infinite:
-                bv = np.zeros(p, dtype=complex)
-                if chan.id == inc[0]:
-                    bv[inc[1]] = 1.0
-            else:
-                bv = np.array([x[row_of[(chan.id, "beta", i)], c] for i in range(p)], dtype=complex)
-            alpha[chan.id] = av
-            beta[chan.id] = bv
-        fields.append(EdgeWaveField(lam=lam, eps=eps, incident=inc, alpha=alpha, beta=beta))
+    for c, amp in zip(wanted, amplitudes):
+        fields.append(
+            EdgeWaveField(
+                lam=lam,
+                eps=eps,
+                incident=ordering.entries[c],
+                alpha={cid: amp[sa] for cid, sa, _sb in plan.channel_slices},
+                beta={cid: amp[sb] for cid, _sa, sb in plan.channel_slices},
+            )
+        )
     return fields, ns
 
 

@@ -110,10 +110,7 @@ def _refine_dip(f, a: float, b: float) -> tuple[float, float]:
 
 def _rcond_at(g: MetricGraph, lam: float, eps: float) -> float:
     rng = np.random.default_rng(0x5EED)
-    try:
-        system = assemble_system(g, SolveRequest(lam=lam, eps=eps))
-    except Exception:
-        return 0.0
+    system = assemble_system(g, SolveRequest(lam=lam, eps=eps))
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:

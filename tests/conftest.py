@@ -79,6 +79,18 @@ def fabry_perot_line(length: float = 1.0) -> MetricGraph:
     )
 
 
+def loop_network(rng: np.random.Generator, lam: float = 5.0) -> MetricGraph:
+    """One lead and a loop edge (length 0.7) on a single vertex, all of
+    width pi, with a random admissible junction matrix valid at lam."""
+    channels = (Channel(1, math.inf, W_PI, 1, None), Channel(2, 0.7, W_PI, 1, 1))
+    ends = ((1, "start"), (2, "start"), (2, "end"))
+    t = admissible_junction(_vertex_k(channels, ends, lam), rng)
+    return MetricGraph(
+        channels=channels,
+        vertices=(Vertex(1, ends, MatrixJunction(lam, tuple(map(tuple, t)))),),
+    )
+
+
 # ---------------------------------------------------------------------------
 # randomized admissible networks
 

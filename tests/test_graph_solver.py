@@ -46,6 +46,7 @@ from conftest import (
     dirichlet_edge_graph,
     dirichlet_lead,
     fabry_perot_line,
+    loop_network,
     mirror_line,
     mirror_line_reflection,
     mp_phase_factor,
@@ -131,6 +132,17 @@ def test_assemble_counts_and_shape():
     assert system.matrix.shape == (3, 3)
     assert system.rhs.shape == (3, 1)
     assert len(system.unknowns) == 3
+
+
+def test_assembly_reuses_plan_only_while_mode_counts_hold():
+    # width pi: one mode at lambda = 2, a second one opens at 4
+    g = fabry_perot_line(1.0)
+    for lam in (2.0, 5.0, 2.0):
+        got = assemble_system(g, SolveRequest(lam, 0.1))
+        want = assemble_system(fabry_perot_line(1.0), SolveRequest(lam, 0.1))
+        assert got.unknowns == want.unknowns
+        assert np.array_equal(got.matrix, want.matrix)
+        assert np.array_equal(got.rhs, want.rhs)
 
 
 def test_transparent_full_transmission():
@@ -281,9 +293,12 @@ def test_energy_balance_lossy_junction():
 def test_unitarity_symmetry_random_networks():
     rng = np.random.default_rng(42)
     lam, eps = 5.0, 0.1
-    for _ in range(10):
-        g = random_network(rng, lam)
-        fields, ns = solve_scattering(g, SolveRequest(lam, eps), allow_flagged=True)
+    graphs = [random_network(rng, lam) for _ in range(10)]
+    # a loop channel puts two rows of its vertex on one column of the
+    # system; it must solve certified
+    loop = loop_network(np.random.default_rng(6), lam)
+    for g in graphs + [loop]:
+        fields, ns = solve_scattering(g, SolveRequest(lam, eps), allow_flagged=g is not loop)
         if ns.ordering.M == 0 or not ns.certified:
             continue
         a = ns.weighted()
@@ -398,11 +413,27 @@ def test_estimate_rcond_exactly_singular_is_zero():
         assert _estimate_rcond(a, lu_piv, np.random.default_rng(0)) == 0.0
 
 
-@pytest.mark.parametrize("n", [20, 100])
-def test_estimate_rcond_is_two_norm_reciprocal_condition(n):
-    # RCOND_TOL bounds sigma_min / sigma_max; pin the estimate to it
+def _complex_gaussian(n: int) -> np.ndarray:
     rng = np.random.default_rng(n)
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    est = _estimate_rcond(a, lu_factor(a), np.random.default_rng(0x5EED))
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+@pytest.mark.parametrize(
+    "a, recorded",
+    [
+        pytest.param(_complex_gaussian(20), 0.00914541191408832, id="20"),
+        pytest.param(_complex_gaussian(100), 0.0024834319546634476, id="100"),
+        pytest.param(np.random.default_rng(5).normal(size=(30, 30)), 0.00593450224166048, id="real30"),
+    ],
+)
+def test_estimate_rcond_is_two_norm_reciprocal_condition(a, recorded):
+    # RCOND_TOL bounds sigma_min / sigma_max; pin the estimate to it, and to
+    # the values recorded from the lu_solve implementation of the same
+    # iteration.  Any warning fails, among them the ComplexWarning of a real
+    # solve routine dropping the imaginary part of the iterate.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = _estimate_rcond(a, lu_factor(a), np.random.default_rng(0x5EED))
     exact = 1.0 / np.linalg.cond(a, 2)
     assert abs(est - exact) <= 0.05 * exact
+    assert abs(est - recorded) <= 1e-12 * recorded

@@ -61,6 +61,19 @@ def test_sweep_fabry_perot_all_pass():
         assert np.max(np.abs(r.abs_t_sq - 1.0)) < 1e-12
 
 
+def test_sweep_refinement_failure_propagates(monkeypatch):
+    # an error inside dip refinement is not a singular matrix, so it must
+    # not turn into a flagged resonance
+    import fiberwave.spectrum_tools as st
+
+    def broken(g, req):
+        raise RuntimeError("assembly failed")
+
+    monkeypatch.setattr(st, "assemble_system", broken)
+    with pytest.raises(RuntimeError, match="assembly failed"):
+        sweep(fabry_perot_line(1.0), 0.1, 1.5, 3.5, 41)
+
+
 def test_sweep_rejects_threshold_in_interval():
     with pytest.raises(IntervalContainsThreshold):
         sweep(dirichlet_lead(), 0.1, 3.0, 5.0, 10)  # contains threshold 4
