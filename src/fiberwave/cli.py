@@ -343,8 +343,7 @@ def _cmd_network_validate(args) -> int:
             continue
         columns = [incident] if incident else list(ns.ordering.entries)
         worst = 0.0
-        for inc in columns:
-            sample = solve_network(g, args.lam, eps, inc)
+        for inc, sample in zip(columns, solve_network(g, args.lam, eps, columns)):
             col = ns.ordering.index(*inc)
             for cid, amps in sorted(sample.amplitudes.items()):
                 for mode, t_o in enumerate(amps):

@@ -28,6 +28,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from typing import Optional
 
@@ -235,12 +236,18 @@ def _interpolate_table(g, v, j: TabulatedJunction, lam: float) -> np.ndarray:
     return (1.0 - w) * mats[i - 1] + w * mats[i]
 
 
-_oracle_cache: dict[tuple, np.ndarray] = {}
+@lru_cache(maxsize=128)
+def _oracle_matrix(geom, lam: float) -> np.ndarray:
+    """Junction matrix of an oracle geometry at lambda, kept for the most
+    recently used (geometry, lambda) pairs of the process."""
+    from . import helmholtz_oracle  # deferred: heavy module
+
+    t = helmholtz_oracle.junction_matrix(geom, lam).matrix
+    t.flags.writeable = False  # every cache hit hands out this same array
+    return t
 
 
 def _resolve_oracle(g: MetricGraph, v, j: OracleJunction, lam: float) -> np.ndarray:
-    from . import helmholtz_oracle  # deferred: heavy module
-
     geom = j.geometry
     if len(geom.stubs) != len(v.ends):
         raise DimensionMismatch(
@@ -253,10 +260,7 @@ def _resolve_oracle(g: MetricGraph, v, j: OracleJunction, lam: float) -> np.ndar
                 f"vertex {v.id}: stub width {stub.width!r} does not match channel {cid} "
                 f"cross-section {shape!r} (planar junctions serve interval channels only)"
             )
-    key = (geom, float(lam))
-    if key not in _oracle_cache:
-        _oracle_cache[key] = helmholtz_oracle.junction_matrix(geom, lam).matrix
-    return _oracle_cache[key]
+    return _oracle_matrix(geom, float(lam))
 
 
 @dataclass(frozen=True, eq=False)

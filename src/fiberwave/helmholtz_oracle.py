@@ -13,21 +13,25 @@ discrete problem: lengthening a stub changes the computed matrices only
 through the modes beyond the retained set (8 evanescent by default).
 
 Junction scattering matrices computed here are the first-principles
-counterpart of the graph model's junction models: one solve per incident
-(stub, mode) pair, amplitudes extracted by discrete projection one channel
-width from the stub base (at least one width inside the truncation) and
-referenced to the base plane in the continuum phase convention, so they
-converge at O(h^2) to the continuum matrices.  Junctions are solved once at
-unit scale; rescaling the network by the fiber thickness maps the thin
-problem onto widths-fixed geometry with channel lengths divided by the
-thickness, which is how full-network reference solutions are produced.
+counterpart of the graph model's junction models: one column per incident
+(stub, mode) pair, all columns solved as one block from a single
+factorization of the operator, amplitudes extracted by discrete projection
+one channel width from the stub base (at least one width inside the
+truncation) and referenced to the base plane in the continuum phase
+convention, so they converge at O(h^2) to the continuum matrices.
+Junctions are solved once at unit scale; rescaling the network by the fiber
+thickness maps the thin problem onto widths-fixed geometry with channel
+lengths divided by the thickness, which is how full-network reference
+solutions are produced.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -109,6 +113,7 @@ class _StubData:
     n_t: int  # transverse interior nodes
     cells: int  # axial cells (length / h)
     width_cells: int
+    lattice: tuple[int, int, int, int]  # stub rectangle in node-lattice offsets
     plane_ids: np.ndarray  # unknown ids on the truncation plane, q = 1..n_t
     sub_ids: np.ndarray  # unknown ids one layer inward
     extract_ids: np.ndarray  # unknown ids on the extraction plane
@@ -140,13 +145,10 @@ class _Grid:
             raise GridTooCoarse(
                 f"h = {h!r} resolves fewer than 10 points per wavelength at lambda = {lam!r}"
             )
-        self.geom = geom
         self.lam = lam
         self.h = h
 
-        rects: list[tuple[int, int, int, int]] = []
-        for r in geom.cores:
-            rects.append(self._rect_to_lattice(r, h))
+        rects = [self._rect_to_lattice(r, h) for r in geom.cores]
         for s in geom.stubs:
             if s.direction not in _DIRECTIONS:
                 raise GeometryInvalid(f"unknown stub direction {s.direction!r}")
@@ -171,20 +173,19 @@ class _Grid:
             if covered[sl].any():
                 raise GeometryInvalid("rectangles overlap; cores and stubs must tile disjointly")
             covered[sl] = True
-        self.covered = covered
 
         # A node is an interior unknown iff all four adjacent cells are covered.
         pad = np.zeros((ncx + 2, ncy + 2), dtype=bool)
         pad[1:-1, 1:-1] = covered
+        # shape (ncx+1, ncy+1): the node lattice
         interior = pad[:-1, :-1] & pad[1:, :-1] & pad[:-1, 1:] & pad[1:, 1:]
-        self.interior = interior  # shape (ncx+1, ncy+1), node lattice
 
         self.idx = -np.ones(interior.shape, dtype=np.int64)
         self.stubs: list[_StubData] = []
         plane_mask = np.zeros_like(interior)
-        for si, s in enumerate(geom.stubs):
-            sd = self._stub_data(si, s, lam, n_ev)
-            self.stubs.append(sd)
+        for si, (s, r) in enumerate(zip(geom.stubs, rects[len(geom.cores) :])):
+            lattice = (r[0] - ix0, r[1] - iy0, r[2] - ix0, r[3] - iy0)
+            self.stubs.append(self._stub_data(si, s, lattice, lam, n_ev))
 
         # enumerate unknowns: interior nodes first (row-major), then plane nodes
         ii, jj = np.nonzero(interior)
@@ -192,15 +193,12 @@ class _Grid:
         self.idx[ii, jj] = np.arange(n_int)
         count = n_int
         for sd in self.stubs:
-            nodes = self._plane_nodes(sd)
-            for (pi, pj) in nodes:
-                if interior[pi, pj] or plane_mask[pi, pj]:
-                    raise GeometryInvalid(
-                        "truncation plane is blocked by another rectangle or stub"
-                    )
-                plane_mask[pi, pj] = True
-                self.idx[pi, pj] = count
-                count += 1
+            plane = self._section(sd, sd.cells)
+            if interior[plane].any() or plane_mask[plane].any():
+                raise GeometryInvalid("truncation plane is blocked by another rectangle or stub")
+            plane_mask[plane] = True
+            self.idx[plane] = np.arange(count, count + sd.n_t)
+            count += sd.n_t
         self.n_unknowns = count
         if count > node_budget:
             raise GridBudgetExceeded(f"{count} unknowns exceed the budget of {node_budget}")
@@ -227,9 +225,11 @@ class _Grid:
             _to_lattice(y1, h, "rectangle y1"),
         )
 
-    def _stub_data(self, si: int, s: Stub, lam: float, n_ev: int) -> _StubData:
+    def _stub_data(
+        self, si: int, s: Stub, lattice: tuple[int, int, int, int], lam: float, n_ev: int
+    ) -> _StubData:
         h = self.h
-        ax0, ay0, ax1, ay1 = self._rect_to_lattice(s.rect, h)
+        ax0, ay0, ax1, ay1 = lattice
         if s.direction in ("+x", "-x"):
             axis, outward = "x", (1 if s.direction == "+x" else -1)
             width_cells, cells = ay1 - ay0, ax1 - ax0
@@ -265,6 +265,7 @@ class _Grid:
             n_t=n_t,
             cells=cells,
             width_cells=width_cells,
+            lattice=lattice,
             plane_ids=np.zeros(0, dtype=np.int64),
             sub_ids=np.zeros(0, dtype=np.int64),
             extract_ids=np.zeros(0, dtype=np.int64),
@@ -279,29 +280,18 @@ class _Grid:
             k_cont=k_cont,
         )
 
-    def _stub_node(self, sd: _StubData, p: int, q: int) -> tuple[int, int]:
-        """Lattice node of stub sd at axial index p (0 = base plane) and
-        transverse index q (1..n_t)."""
-        s = self.geom.stubs[sd.index]
-        ax0, ay0, ax1, ay1 = self._rect_to_lattice(s.rect, self.h)
-        ox, oy = self.origin
+    @staticmethod
+    def _section(sd: _StubData, p: int) -> tuple:
+        """Node-lattice index of stub sd's transverse line at axial index p
+        (0 = base plane), transverse index q = 1..n_t in ascending order."""
+        ax0, ay0, ax1, ay1 = sd.lattice
         if sd.axis == "x":
-            i = (ax0 + p) if sd.outward > 0 else (ax1 - p)
-            j = ay0 + q
-        else:
-            j = (ay0 + p) if sd.outward > 0 else (ay1 - p)
-            i = ax0 + q
-        return (i - ox, j - oy)
-
-    def _plane_nodes(self, sd: _StubData) -> list[tuple[int, int]]:
-        return [self._stub_node(sd, sd.cells, q) for q in range(1, sd.n_t + 1)]
+            return ((ax0 + p) if sd.outward > 0 else (ax1 - p), slice(ay0 + 1, ay1))
+        return (slice(ax0 + 1, ax1), (ay0 + p) if sd.outward > 0 else (ay1 - p))
 
     def _fill_stub_ids(self, sd: _StubData) -> None:
         def ids_at(p: int) -> np.ndarray:
-            out = np.zeros(sd.n_t, dtype=np.int64)
-            for q in range(1, sd.n_t + 1):
-                i, j = self._stub_node(sd, p, q)
-                out[q - 1] = self.idx[i, j]
+            out = self.idx[self._section(sd, p)].copy()
             if np.any(out < 0):
                 raise GeometryInvalid(f"stub {sd.index}: cross-section at p={p} not interior")
             return out
@@ -378,7 +368,12 @@ class _HelmholtzSolver:
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
         ).tocsc()
         self.matrix = mat
-        self.lu = splu(mat)
+
+    @cached_property
+    def lu(self):
+        """SuperLU factorization, made on first use so that every incident
+        of a solve is validated before the operator is factored."""
+        return splu(self.matrix)
 
     def rhs_for(self, incident: Optional[tuple[int, int]]) -> np.ndarray:
         g = self.grid
@@ -399,15 +394,20 @@ class _HelmholtzSolver:
         b[sd.plane_ids] = sd.phi[mode] * amp
         return b
 
-    def solve(self, incident: Optional[tuple[int, int]]) -> np.ndarray:
-        b = self.rhs_for(incident)
+    def solve(self, incidents: Sequence[Optional[tuple[int, int]]]) -> np.ndarray:
+        """Fields of all incidents as the columns of one (n, k) block, from
+        one multi-right-hand-side solve and one step of block iterative
+        refinement; each column must meet the residual test on its own."""
+        b = np.zeros((self.grid.n_unknowns, len(incidents)), dtype=complex)
+        for col, inc in enumerate(incidents):
+            b[:, col] = self.rhs_for(inc)
         u = self.lu.solve(b)
-        resid = b - self.matrix @ u
-        u = u + self.lu.solve(resid)  # one step of iterative refinement
-        scale = max(float(np.max(np.abs(b))), 1e-300)
-        rel = float(np.max(np.abs(b - self.matrix @ u))) / scale
-        if incident is not None and (not np.all(np.isfinite(u)) or rel > 1e-8):
-            raise NonConvergedSolve(f"discrete solve residual {rel:.3e}")
+        u = u + self.lu.solve(b - self.matrix @ u)
+        scale = np.maximum(np.max(np.abs(b), axis=0), 1e-300)
+        rel = np.max(np.abs(b - self.matrix @ u), axis=0) / scale
+        for col, inc in enumerate(incidents):
+            if inc is not None and (not np.all(np.isfinite(u[:, col])) or rel[col] > 1e-8):
+                raise NonConvergedSolve(f"discrete solve residual {rel[col]:.3e}")
         return u
 
     def extract(self, u: np.ndarray, incident: Optional[tuple[int, int]]) -> "ModalAmplitudes":
@@ -496,7 +496,7 @@ def solve_junction_scattering(
     all modal amplitudes are empty or zero).
     """
     solver = _HelmholtzSolver(geom, lam, n_ev=n_ev, node_budget=node_budget)
-    u = solver.solve(incident)
+    u = solver.solve([incident])[:, 0]
     amps = solver.extract(u, incident)
     field = DiscreteField(
         geometry=geom,
@@ -535,16 +535,16 @@ def junction_matrix(
     n_ev: int = DEFAULT_N_EVANESCENT,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> JunctionScattering:
-    """Scattering matrix of a junction geometry: one solve per incident
-    (stub, mode), all sharing one factorization."""
+    """Scattering matrix of a junction geometry: one factorization, with
+    every incident (stub, mode) a column of one block solve."""
     solver = _HelmholtzSolver(geom, lam, n_ev=n_ev, node_budget=node_budget)
     counts = tuple(sd.n_prop for sd in solver.grid.stubs)
     entries = [(s, m) for s, c in enumerate(counts) for m in range(c)]
     dim = len(entries)
     t = np.zeros((dim, dim), dtype=complex)
+    u = solver.solve(entries)
     for col, inc in enumerate(entries):
-        u = solver.solve(inc)
-        amps = solver.extract(u, inc)
+        amps = solver.extract(u[:, col], inc)
         for row, (s, m) in enumerate(entries):
             t[row, col] = amps.outgoing[s][m]
     return JunctionScattering(
@@ -702,30 +702,37 @@ def solve_network(
     g: MetricGraph,
     lam: float,
     eps: float,
-    incident: tuple[int, int],
+    incidents: Sequence[tuple[int, int]],
     *,
     n_ev: int = DEFAULT_N_EVANESCENT,
     node_budget: int = DEFAULT_NODE_BUDGET,
-) -> NetworkSample:
+) -> list[NetworkSample]:
     """Solve the full rescaled thin network (widths fixed, finite channel
-    lengths divided by eps) and extract outgoing amplitudes on the infinite
-    channels, directly comparable with a graph-model scattering column."""
+    lengths divided by eps) once for every (channel id, mode) incident, and
+    extract outgoing amplitudes on the infinite channels, each sample
+    directly comparable with a graph-model scattering column.  The network
+    is laid out and factored once per call."""
     geom, stub_of_channel = network_geometry(g, eps)
-    cid, mode = incident
-    if cid not in stub_of_channel:
-        raise ValueError(f"channel {cid} is not an infinite channel of the graph")
+    for cid, _mode in incidents:
+        if cid not in stub_of_channel:
+            raise ValueError(f"channel {cid} is not an infinite channel of the graph")
+    stub_incidents = [(stub_of_channel[cid], mode) for cid, mode in incidents]
     solver = _HelmholtzSolver(geom, lam, n_ev=n_ev, node_budget=node_budget)
-    u = solver.solve((stub_of_channel[cid], mode))
-    amps = solver.extract(u, (stub_of_channel[cid], mode))
-    by_channel = {c: amps.outgoing[s].copy() for c, s in stub_of_channel.items()}
-    return NetworkSample(
-        amplitudes=by_channel,
-        incident=incident,
-        lam=lam,
-        eps=eps,
-        flux=flux_residual(amps, geom),
-        geometry=geom,
-    )
+    u = solver.solve(stub_incidents)
+    samples = []
+    for col, (incident, inc) in enumerate(zip(incidents, stub_incidents)):
+        amps = solver.extract(u[:, col], inc)
+        samples.append(
+            NetworkSample(
+                amplitudes={c: amps.outgoing[s].copy() for c, s in stub_of_channel.items()},
+                incident=incident,
+                lam=lam,
+                eps=eps,
+                flux=flux_residual(amps, geom),
+                geometry=geom,
+            )
+        )
+    return samples
 
 
 def duct_geometry(width: float, stub_length: float, h: float) -> PlanarGeometry:

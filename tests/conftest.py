@@ -14,10 +14,12 @@ from fiberwave.graph_model import (
     Dirichlet,
     MatrixJunction,
     MetricGraph,
+    OracleJunction,
     Transparent,
     Vertex,
 )
 from fiberwave.graph_solver import admissible_junction
+from fiberwave.helmholtz_oracle import cross_geometry
 
 W_PI = Interval(math.pi)
 
@@ -88,6 +90,29 @@ def loop_network(rng: np.random.Generator, lam: float = 5.0) -> MetricGraph:
     return MetricGraph(
         channels=channels,
         vertices=(Vertex(1, ends, MatrixJunction(lam, tuple(map(tuple, t)))),),
+    )
+
+
+def two_cross_network(length: float, h: float) -> MetricGraph:
+    """Two oracle cross junctions of width pi joined by one finite channel
+    of the given length, with three leads on each (channels 1-3 and 4-6)."""
+    w = math.pi
+    geom = cross_geometry(w, 2 * w, h)
+    shape = Interval(w)
+    return MetricGraph(
+        channels=(
+            Channel(1, math.inf, shape, 1, None),
+            Channel(2, math.inf, shape, 1, None),
+            Channel(3, math.inf, shape, 1, None),
+            Channel(4, math.inf, shape, 2, None),
+            Channel(5, math.inf, shape, 2, None),
+            Channel(6, math.inf, shape, 2, None),
+            Channel(7, length, shape, 1, 2),
+        ),
+        vertices=(
+            Vertex(1, ((1, "start"), (7, "start"), (2, "start"), (3, "start")), OracleJunction(geom)),
+            Vertex(2, ((7, "end"), (4, "start"), (5, "start"), (6, "start")), OracleJunction(geom)),
+        ),
     )
 
 

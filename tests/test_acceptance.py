@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from fiberwave.cross_section import Interval
-from fiberwave.graph_model import Channel, MetricGraph, OracleJunction, Vertex
+from fiberwave.graph_model import Channel, MetricGraph, Vertex
 from fiberwave.graph_solver import (
     SolveRequest,
     boundary_value_matrices,
@@ -32,7 +32,13 @@ from fiberwave.helmholtz_oracle import (
 )
 from fiberwave.spectrum_tools import sweep, threshold_extrapolate
 
-from conftest import dirichlet_edge_graph, dirichlet_lead, mirror_line, mirror_line_reflection
+from conftest import (
+    dirichlet_edge_graph,
+    dirichlet_lead,
+    mirror_line,
+    mirror_line_reflection,
+    two_cross_network,
+)
 from test_graph_solver import admissible_junction  # noqa: F401  (re-exported helper)
 from test_helmholtz_oracle import step_geometry
 
@@ -164,45 +170,24 @@ def test_criterion_5_oracle_self_checks():
                f"{r1:.2f},{r2:.2f}; margin {margin:.1e}; n_ev {sens:.1e} ({elapsed:.1f}s)")
 
 
-def _two_cross_network(length: float, h: float) -> MetricGraph:
-    w = math.pi
-    geom = cross_geometry(w, 2 * w, h)
-    shape = Interval(w)
-    return MetricGraph(
-        channels=(
-            Channel(1, math.inf, shape, 1, None),
-            Channel(2, math.inf, shape, 1, None),
-            Channel(3, math.inf, shape, 1, None),
-            Channel(4, math.inf, shape, 2, None),
-            Channel(5, math.inf, shape, 2, None),
-            Channel(6, math.inf, shape, 2, None),
-            Channel(7, length, shape, 1, 2),
-        ),
-        vertices=(
-            Vertex(1, ((1, "start"), (7, "start"), (2, "start"), (3, "start")), OracleJunction(geom)),
-            Vertex(2, ((7, "end"), (4, "start"), (5, "start"), (6, "start")), OracleJunction(geom)),
-        ),
-    )
-
-
 def test_criterion_6_graph_vs_pde_convergence():
     t0 = time.monotonic()
     lam, length, h = 2.0, math.pi / 2, math.pi / 32
     incident = (2, 0)  # side arm: breaks the mirror symmetry of the link
-    g = _two_cross_network(length, h)
+    g = two_cross_network(length, h)
     errs = {}
     for eps in (1.0, 0.5, 0.25):
         fields, ns = solve_scattering(g, SolveRequest(lam, eps))
-        sample = solve_network(g, lam, eps, incident)
+        sample = solve_network(g, lam, eps, [incident])[0]
         col = ns.ordering.index(*incident)
         errs[eps] = max(
             abs(ns.t[ns.ordering.index(c, 0), col] - sample.amplitudes[c][0])
             for c in (1, 2, 3, 4, 5, 6)
         )
     # measured discretization floor: oracle amplitudes at h vs h/2, eps = 1/4
-    g2 = _two_cross_network(length, h / 2)
-    s1 = solve_network(g, lam, 0.25, incident)
-    s2 = solve_network(g2, lam, 0.25, incident)
+    g2 = two_cross_network(length, h / 2)
+    s1 = solve_network(g, lam, 0.25, [incident])[0]
+    s2 = solve_network(g2, lam, 0.25, [incident])[0]
     floor = max(abs(s1.amplitudes[c][0] - s2.amplitudes[c][0]) for c in (1, 2, 3, 4, 5, 6))
 
     assert errs[1.0] >= errs[0.5] - floor

@@ -23,12 +23,14 @@ from fiberwave.graph_model import (
     Dirichlet,
     MatrixJunction,
     MetricGraph,
+    OracleJunction,
     TabulatedJunction,
     Vertex,
 )
 from fiberwave.graph_solver import (
     EdgeWaveField,
     _estimate_rcond,
+    _oracle_matrix,
     SolveRequest,
     admissible_junction,
     assemble_system,
@@ -40,6 +42,7 @@ from fiberwave.graph_solver import (
     solve_scattering,
     symmetric_unitary,
 )
+from fiberwave.helmholtz_oracle import duct_geometry, junction_matrix
 
 from conftest import (
     W_PI,
@@ -114,6 +117,27 @@ def test_tabulated_interpolates_linearly_in_z():
     assert abs(res.t_matrix[0, 0] - 0.3) < 1e-14
     with pytest.raises(UnresolvableJunction):
         resolve_vertex(g, g.vertices[0], lam0 + 0.6**2)
+
+
+def test_oracle_junction_cache_is_bounded():
+    geom = duct_geometry(math.pi, 2 * math.pi, math.pi / 8)
+    g = MetricGraph(
+        channels=(Channel(1, math.inf, W_PI, 1, None), Channel(2, math.inf, W_PI, 1, None)),
+        vertices=(Vertex(1, ((1, "start"), (2, "start")), OracleJunction(geom)),),
+    )
+    v = g.vertices[0]
+    assert _oracle_matrix.cache_info().maxsize == 128
+    lams = [float(x) for x in np.linspace(1.2, 2.5, 136)]
+    for lam in lams:
+        resolve_vertex(g, v, lam)
+    info = _oracle_matrix.cache_info()
+    assert info.currsize == 128
+    # the first lambda was evicted: resolving it again is a miss that must
+    # reproduce the junction matrix
+    t = resolve_vertex(g, v, lams[0]).t_matrix
+    assert _oracle_matrix.cache_info().misses == info.misses + 1
+    assert _oracle_matrix.cache_info().currsize == 128
+    assert np.array_equal(t, junction_matrix(geom, lams[0]).matrix)
 
 
 # ---------------------------------------------------------------------------

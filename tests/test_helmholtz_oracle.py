@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from fiberwave import helmholtz_oracle
 from fiberwave.cross_section import Interval
 from fiberwave.errors import (
     GeometryInvalid,
@@ -28,6 +29,8 @@ from fiberwave.helmholtz_oracle import (
     solve_junction_scattering,
     solve_network,
 )
+
+from conftest import two_cross_network
 
 W = math.pi
 LAM = 2.0
@@ -150,6 +153,22 @@ def test_junction_metadata():
     assert js.entries == [(0, 0), (1, 0), (2, 0), (3, 0)]
 
 
+def test_junction_matrix_without_propagating_modes():
+    js = junction_matrix(cross_geometry(W, 2 * W, math.pi / 16), 0.5)
+    assert js.matrix.shape == (0, 0)
+    assert js.mode_counts == (0, 0, 0, 0)
+    assert js.entries == []
+
+
+def test_junction_matrix_columns_match_single_incident_solves():
+    geom = cross_geometry(W, 2 * W, math.pi / 32)
+    js = junction_matrix(geom, LAM)
+    for col, inc in enumerate(js.entries):
+        _, amps = solve_junction_scattering(geom, LAM, inc)
+        column = np.concatenate([amps.outgoing[s] for s in range(len(js.mode_counts))])
+        assert np.max(np.abs(js.matrix[:, col] - column)) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # geometry validation
 
@@ -224,7 +243,7 @@ def test_network_duct_matches_graph_fabry_perot():
     must transmit e^{i k l / eps} like the graph's pass-through line."""
     length, eps, h = math.pi, 0.5, math.pi / 32
     g = duct_network(length, h)
-    sample = solve_network(g, LAM, eps, (1, 0))
+    sample = solve_network(g, LAM, eps, [(1, 0)])[0]
     fields, ns = solve_scattering(g, SolveRequest(LAM, eps))
     col = ns.ordering.index(1, 0)
     t_graph = ns.t[ns.ordering.index(3, 0), col]
@@ -264,7 +283,7 @@ def test_network_elbow_pair_error_non_increasing_in_eps():
     errs = {}
     for eps in (1.0, 0.5, 0.25):
         g = elbow_pair_network(math.pi / 2, h)
-        sample = solve_network(g, LAM, eps, (1, 0))
+        sample = solve_network(g, LAM, eps, [(1, 0)])[0]
         fields, ns = solve_scattering(g, SolveRequest(LAM, eps))
         col = ns.ordering.index(1, 0)
         errs[eps] = max(
@@ -272,8 +291,8 @@ def test_network_elbow_pair_error_non_increasing_in_eps():
         )
     # h^2 floor from grid refinement at the smallest eps
     g64 = elbow_pair_network(math.pi / 2, math.pi / 64)
-    s32 = solve_network(elbow_pair_network(math.pi / 2, h), LAM, 0.25, (1, 0))
-    s64 = solve_network(g64, LAM, 0.25, (1, 0))
+    s32 = solve_network(elbow_pair_network(math.pi / 2, h), LAM, 0.25, [(1, 0)])[0]
+    s64 = solve_network(g64, LAM, 0.25, [(1, 0)])[0]
     floor = max(abs(s32.amplitudes[c][0] - s64.amplitudes[c][0]) for c in (1, 3))
     assert errs[1.0] >= errs[0.5] - floor
     assert errs[0.5] >= errs[0.25] - floor
@@ -296,3 +315,39 @@ def test_network_cycle_mismatch_rejected():
     )
     with pytest.raises(GeometryInvalid):
         network_geometry(g, 1.0)
+
+
+def test_network_block_solve_matches_column_solves(monkeypatch):
+    g = two_cross_network(math.pi / 2, math.pi / 16)
+    columns = [(c, 0) for c in range(1, 7)]
+    factored = []
+    real_splu = helmholtz_oracle.splu
+
+    def counting_splu(mat):
+        factored.append(mat.shape)
+        return real_splu(mat)
+
+    monkeypatch.setattr(helmholtz_oracle, "splu", counting_splu)
+    block = solve_network(g, LAM, 0.5, columns)
+    assert len(factored) == 1
+    assert [s.incident for s in block] == columns
+    for inc, sample in zip(columns, block):
+        single = solve_network(g, LAM, 0.5, [inc])[0]
+        assert sample.amplitudes.keys() == single.amplitudes.keys()
+        for cid, amps in single.amplitudes.items():
+            assert np.max(np.abs(sample.amplitudes[cid] - amps)) <= 1e-13
+        assert abs(sample.flux - single.flux) <= 1e-13
+    assert len(factored) == 1 + len(columns)
+
+
+def test_network_incidents_validated_before_factoring(monkeypatch):
+    g = two_cross_network(math.pi / 2, math.pi / 16)
+
+    def no_splu(mat):
+        raise AssertionError("factored before every incident was validated")
+
+    monkeypatch.setattr(helmholtz_oracle, "splu", no_splu)
+    with pytest.raises(ValueError):
+        solve_network(g, LAM, 0.5, [(1, 0), (7, 0)])  # channel 7 is the finite link
+    with pytest.raises(ValueError):
+        solve_network(g, LAM, 0.5, [(1, 0), (4, 1)])  # one propagating mode at LAM
