@@ -33,6 +33,7 @@ from .graph_solver import (
     gc_residual,
     resolve_vertex,
     solve_scattering,
+    wave_fields,
 )
 
 __all__ = [
@@ -61,6 +62,7 @@ __all__ = [
     "resolve_vertex",
     "solve_scattering",
     "validate_graph",
+    "wave_fields",
 ]
 
 __version__ = "0.1.0"

@@ -49,6 +49,7 @@ from .graph_solver import (
     gc_residual,
     resolve_vertex,
     solve_scattering,
+    wave_fields,
 )
 from .helmholtz_oracle import PlanarGeometry, Stub, junction_matrix, solve_network
 from .spectrum_tools import export_spectrum, sweep
@@ -252,10 +253,9 @@ def _dump_json(payload: dict, path: str | None) -> None:
 
 def _cmd_solve(args) -> int:
     g = load_graph(args.graph)
-    incident = _parse_incident(args.incident)
-    fields, ns = solve_scattering(
+    ns = solve_scattering(
         g,
-        SolveRequest(lam=args.lam, eps=args.eps, incident=incident),
+        SolveRequest(lam=args.lam, eps=args.eps),
         allow_flagged=args.allow_flagged,
         rcond_tol=args.rcond_tol,
     )
@@ -284,7 +284,6 @@ def _cmd_sweep(args) -> int:
         args.hi,
         args.steps,
         flag_tol=args.flag_tol,
-        threads=args.threads,
     )
     export_spectrum(sr, args.out)
     flagged = [r for r in sr.rows if not r.certified]
@@ -336,7 +335,7 @@ def _cmd_network_validate(args) -> int:
     skipped = []
     for eps in eps_list:
         try:
-            fields, ns = solve_scattering(g, SolveRequest(lam=args.lam, eps=eps))
+            ns = solve_scattering(g, SolveRequest(lam=args.lam, eps=eps))
         except NearSingular as exc:
             skipped.append(eps)
             sys.stderr.write(f"eps={eps}: graph solve flagged ({exc}); comparison skipped\n")
@@ -386,9 +385,9 @@ def _spider_errors(g: MetricGraph, v, lam: float, eps: float) -> tuple[float, fl
             ),
         ),
     )
-    fields, _ns = solve_scattering(spider, SolveRequest(lam=lam, eps=eps), allow_flagged=True)
+    ns = solve_scattering(spider, SolveRequest(lam=lam, eps=eps), allow_flagged=True)
     res_spider = resolve_vertex(spider, spider.vertices[0], lam)
-    s0, s1 = boundary_value_matrices(fields, res_spider, spider)
+    s0, s1 = boundary_value_matrices(wave_fields(ns), res_spider, spider)
     dim = res_spider.dim
     i_v = np.eye(dim)
     t_v = res_spider.t_matrix
@@ -401,7 +400,7 @@ def _spider_errors(g: MetricGraph, v, lam: float, eps: float) -> tuple[float, fl
 def _cmd_check(args) -> int:
     g = load_graph(args.graph)
     tol = args.tol
-    fields, ns = solve_scattering(
+    ns = solve_scattering(
         g, SolveRequest(lam=args.lam, eps=args.eps), allow_flagged=args.allow_flagged
     )
     a = ns.weighted()
@@ -409,7 +408,7 @@ def _cmd_check(args) -> int:
     er = energy_report(ns)
     resolved = {v.id: resolve_vertex(g, v, args.lam) for v in g.vertices}
     gc_worst = 0.0
-    for f in fields:
+    for f in wave_fields(ns):
         for v in g.vertices:
             gc_worst = max(gc_worst, gc_residual(f, resolved[v.id], g, args.eps))
     spider0, spider1 = 0.0, 0.0
@@ -452,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--incident", help="channel,mode (default: all)")
     p.add_argument("--rcond-tol", type=float, default=RCOND_TOL)
     p.add_argument("--out", help="output JSON path (default: stdout)")
 
@@ -463,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--flag-tol", type=float, default=RCOND_TOL)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("junction", help="compute a junction matrix from geometry")

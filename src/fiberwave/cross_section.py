@@ -134,9 +134,12 @@ def thresholds_below(shape: CrossSectionShape, lam: float) -> list[float]:
     propagating modes at lam.
 
     Raises ThresholdCollision if lam is within the exclusion window of a
-    threshold of this shape.  Every propagating-mode count and wavenumber
-    is derived from this one enumeration.
+    threshold of this shape, ValueError if lam is not finite.  Every
+    propagating-mode count and wavenumber is derived from this one
+    enumeration.
     """
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam!r}")
     tol = threshold_window(lam)
     n = 4
     while True:

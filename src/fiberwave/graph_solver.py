@@ -77,15 +77,15 @@ def propagation_phase(k, length, eps: float):
 
 @dataclass(frozen=True)
 class SolveRequest:
-    """Parameters of one scattering solve.
-
-    incident selects a single (channel, mode) column of the scattering
-    matrix, or None for all of them.
-    """
+    """Parameters of one scattering solve; the fiber thickness must satisfy
+    0 < eps < inf."""
 
     lam: float
     eps: float
-    incident: Optional[tuple[int, int]] = None
+
+    def __post_init__(self):
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps must satisfy 0 < eps < inf, got {self.eps!r}")
 
 
 @dataclass
@@ -121,7 +121,8 @@ class EdgeWaveField:
 
 @dataclass
 class NetworkScattering:
-    """The M x M network scattering matrix and its certification state."""
+    """The M x M network scattering matrix and its certification state,
+    with the solved amplitude block it was read from."""
 
     t: np.ndarray
     d_diag: np.ndarray
@@ -130,6 +131,8 @@ class NetworkScattering:
     eps: float
     rcond: float
     certified: bool
+    amplitudes: np.ndarray  # unknowns x M, one column per incident wave
+    channel_slices: tuple[tuple[int, slice, slice], ...]  # (channel id, alpha columns, beta columns)
 
     def weighted(self) -> np.ndarray:
         """D^{1/2} T D^{-1/2}, the unitary-symmetric normalization."""
@@ -145,8 +148,7 @@ class LinearSystem:
     rhs: np.ndarray
     unknowns: list[tuple[int, str, int]]  # (channel id, "alpha"|"beta", mode)
     ordering: GlobalModeOrdering
-    resolved: list[VertexScatteringResolved]
-    ks: dict[int, np.ndarray]  # channel id -> wavenumbers of its propagating modes
+    d_diag: np.ndarray  # wavenumber of each entry of the mode ordering
     lam: float
     eps: float
     plan: _SolvePlan  # the index arrays the system was scattered through
@@ -366,8 +368,7 @@ def assemble_system(g: MetricGraph, req: SolveRequest) -> LinearSystem:
     plan is built once per graph, after one validate_graph call, and again
     only when some channel's propagating-mode count changes.
     """
-    # The plan lives on the (immutable) graph instance; it is itself
-    # immutable, so threads sweeping one graph may share or rebuild it.
+    # The plan lives on the (immutable) graph instance.
     plan: Optional[_SolvePlan] = getattr(g, "_solve_plan", None)
     if plan is None:
         violations = validate_graph(g)
@@ -384,8 +385,6 @@ def assemble_system(g: MetricGraph, req: SolveRequest) -> LinearSystem:
     # Every channel's start end belongs to exactly one vertex (the graph is
     # valid), so the wavenumbers of that end are the channel's.
     k_rows = np.concatenate([res.d_diag for res in resolved])
-    k_alpha = k_rows[plan.alpha_rows]
-    ks = {cid: k_alpha[a] for cid, a, _b in plan.channel_slices}
 
     in_phase = np.ones(len(k_rows), dtype=complex)
     in_phase[plan.end_rows] = propagation_phase(k_rows[plan.end_rows], plan.end_lengths, eps)
@@ -400,8 +399,7 @@ def assemble_system(g: MetricGraph, req: SolveRequest) -> LinearSystem:
         rhs=-full[:, n:],
         unknowns=list(plan.unknowns),
         ordering=plan.ordering,
-        resolved=resolved,
-        ks=ks,
+        d_diag=k_rows[plan.alpha_rows][plan.ordering_alpha],
         lam=lam,
         eps=eps,
         plan=plan,
@@ -456,21 +454,19 @@ def solve_scattering(
     *,
     allow_flagged: bool = False,
     rcond_tol: float = RCOND_TOL,
-) -> tuple[list[EdgeWaveField], NetworkScattering]:
-    """Solve the graph scattering problem for all incident waves.
+) -> NetworkScattering:
+    """Solve the graph scattering problem for all incident waves from one
+    factorization.
 
-    Returns one wave field per requested incident wave plus the network
-    scattering matrix.  Solves always use every right-hand side (the
-    factorization is shared); `req.incident` only selects which fields are
-    returned.  When the reciprocal condition estimate falls below
-    `rcond_tol` the result is not certified: NearSingular is raised unless
+    Returns the network scattering matrix together with the solved
+    amplitude block; wave_fields turns the block into per-incident wave
+    fields.  When the reciprocal condition estimate falls below `rcond_tol`
+    the result is not certified: NearSingular is raised unless
     `allow_flagged` is set, in which case the flagged result is returned.
     """
     system = assemble_system(g, req)
-    ordering = system.ordering
-    m = ordering.M
+    m = system.ordering.M
     n = system.matrix.shape[0]
-    lam, eps = req.lam, req.eps
 
     rng = np.random.default_rng(0x5EED)
     ok = True
@@ -498,33 +494,39 @@ def solve_scattering(
 
     certified = bool(rcond >= rcond_tol)
     if not certified and not allow_flagged:
-        raise NearSingular(rcond, lam)
+        raise NearSingular(rcond, req.lam)
 
     plan = system.plan
-    ks = system.ks
-    d_diag = np.array([ks[cid][nn] for cid, nn in ordering.entries], dtype=float)
-    t = x[plan.ordering_alpha, :]
-
-    ns = NetworkScattering(
-        t=t, d_diag=d_diag, ordering=ordering, lam=lam, eps=eps, rcond=rcond, certified=certified
+    return NetworkScattering(
+        t=x[plan.ordering_alpha, :],
+        d_diag=system.d_diag,
+        ordering=system.ordering,
+        lam=req.lam,
+        eps=req.eps,
+        rcond=rcond,
+        certified=certified,
+        amplitudes=x,
+        channel_slices=plan.channel_slices,
     )
 
-    wanted = list(range(m)) if req.incident is None else [ordering.index(*req.incident)]
-    # one row per wanted incident wave: its unknowns, then the incident
-    # indicator, in the column order of the assembly
-    amplitudes = np.hstack([x.T[wanted], np.eye(m)[wanted]])
-    fields: list[EdgeWaveField] = []
-    for c, amp in zip(wanted, amplitudes):
-        fields.append(
-            EdgeWaveField(
-                lam=lam,
-                eps=eps,
-                incident=ordering.entries[c],
-                alpha={cid: amp[sa] for cid, sa, _sb in plan.channel_slices},
-                beta={cid: amp[sb] for cid, _sa, sb in plan.channel_slices},
-            )
+
+def wave_fields(ns: NetworkScattering) -> list[EdgeWaveField]:
+    """One wave field per entry of the mode ordering, in that order, read off
+    the solved amplitude block."""
+    m = ns.ordering.M
+    # one row per incident wave: its unknowns, then the incident indicator,
+    # in the column order of the assembly
+    amplitudes = np.hstack([ns.amplitudes.T, np.eye(m)])
+    return [
+        EdgeWaveField(
+            lam=ns.lam,
+            eps=ns.eps,
+            incident=incident,
+            alpha={cid: amp[sa] for cid, sa, _sb in ns.channel_slices},
+            beta={cid: amp[sb] for cid, _sa, sb in ns.channel_slices},
         )
-    return fields, ns
+        for incident, amp in zip(ns.ordering.entries, amplitudes)
+    ]
 
 
 def local_traces(

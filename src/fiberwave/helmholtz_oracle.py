@@ -112,14 +112,11 @@ class _StubData:
     outward: int  # +1 or -1
     n_t: int  # transverse interior nodes
     cells: int  # axial cells (length / h)
-    width_cells: int
     lattice: tuple[int, int, int, int]  # stub rectangle in node-lattice offsets
     plane_ids: np.ndarray  # unknown ids on the truncation plane, q = 1..n_t
     sub_ids: np.ndarray  # unknown ids one layer inward
     extract_ids: np.ndarray  # unknown ids on the extraction plane
     extract_cells: int  # axial index of the extraction plane
-    length: float
-    width: float
     phi: np.ndarray  # (n_modes, n_t) discrete transverse modes
     mu: np.ndarray  # discrete transverse eigenvalues
     n_prop: int
@@ -141,6 +138,8 @@ class _Grid:
         h = geom.h
         if h <= 0:
             raise GeometryInvalid("grid spacing must be positive")
+        if not math.isfinite(lam):
+            raise ValueError(f"lambda must be finite, got {lam!r}")
         if lam > 0 and h > 2.0 * math.pi / (10.0 * math.sqrt(lam)):
             raise GridTooCoarse(
                 f"h = {h!r} resolves fewer than 10 points per wavelength at lambda = {lam!r}"
@@ -264,14 +263,11 @@ class _Grid:
             outward=outward,
             n_t=n_t,
             cells=cells,
-            width_cells=width_cells,
             lattice=lattice,
             plane_ids=np.zeros(0, dtype=np.int64),
             sub_ids=np.zeros(0, dtype=np.int64),
             extract_ids=np.zeros(0, dtype=np.int64),
             extract_cells=width_cells,
-            length=cells * h,
-            width=w,
             phi=phi,
             mu=mu,
             n_prop=n_prop,
@@ -373,7 +369,10 @@ class _HelmholtzSolver:
     def lu(self):
         """SuperLU factorization, made on first use so that every incident
         of a solve is validated before the operator is factored."""
-        return splu(self.matrix)
+        try:
+            return splu(self.matrix)
+        except RuntimeError as exc:  # SuperLU: the operator is exactly singular
+            raise NonConvergedSolve(f"factorization failed at lambda = {self.lam!r}: {exc}") from exc
 
     def rhs_for(self, incident: Optional[tuple[int, int]]) -> np.ndarray:
         g = self.grid
@@ -410,43 +409,37 @@ class _HelmholtzSolver:
                 raise NonConvergedSolve(f"discrete solve residual {rel[col]:.3e}")
         return u
 
-    def extract(self, u: np.ndarray, incident: Optional[tuple[int, int]]) -> "ModalAmplitudes":
-        g = self.grid
-        h = g.h
-        outgoing: dict[int, np.ndarray] = {}
-        ev_norm: dict[int, float] = {}
-        k_of: dict[int, np.ndarray] = {}
-        for sd in g.stubs:
-            ue = u[sd.extract_ids]
+    def extract(self, u: np.ndarray, incidents: Sequence[Optional[tuple[int, int]]]) -> np.ndarray:
+        """Outgoing amplitudes of every (stub, propagating mode) row, stubs in
+        geometry order, for every column of the solved block u, projected on
+        the extraction plane and referenced to the stub base plane in the
+        continuum phase convention of the channel."""
+        h = self.grid.h
+        blocks = [np.zeros((0, u.shape[1]), dtype=complex)]  # a geometry may have no stubs
+        for sd in self.grid.stubs:
             p_e = sd.extract_cells
-            t_e = p_e * h
-            hat = h * (sd.phi[: sd.n_retained] @ ue)
-            out = np.zeros(sd.n_prop, dtype=complex)
-            for m in range(sd.n_prop):
-                val = hat[m]
-                if incident is not None and incident == (sd.index, m):
+            hat = h * (sd.phi[: sd.n_prop] @ u[sd.extract_ids])
+            for col, inc in enumerate(incidents):
+                if inc is not None and inc[0] == sd.index:
                     # remove the (exactly known) discrete incident wave
-                    val = val - np.exp(-1j * sd.theta[m] * p_e)
-                # reference back to the base plane in the continuum phase
-                # convention of the channel
-                out[m] = val * np.exp(-1j * sd.k_cont[m] * t_e)
-            outgoing[sd.index] = out
-            ev = hat[sd.n_prop :]
-            ev_norm[sd.index] = float(np.linalg.norm(ev))
-            k_of[sd.index] = sd.k_cont.copy()
+                    hat[inc[1], col] -= np.exp(-1j * sd.theta[inc[1]] * p_e)
+            blocks.append(hat * np.exp(-1j * sd.k_cont * (p_e * h))[:, None])
+        return np.concatenate(blocks)
+
+    def modal_amplitudes(self, column: np.ndarray, incident: Optional[tuple[int, int]]) -> "ModalAmplitudes":
+        """One column of the extracted block, split by stub."""
+        offsets = np.cumsum([sd.n_prop for sd in self.grid.stubs])[:-1]
         return ModalAmplitudes(
-            outgoing=outgoing, evanescent_norm=ev_norm, k_long=k_of, incident=incident, lam=self.lam
+            outgoing=dict(enumerate(np.split(column, offsets))), incident=incident, lam=self.lam
         )
 
 
 @dataclass
 class ModalAmplitudes:
     """Outgoing amplitudes per stub and propagating mode, referenced to the
-    stub base plane, plus the evanescent tail norm at the extraction plane."""
+    stub base plane."""
 
     outgoing: dict[int, np.ndarray]
-    evanescent_norm: dict[int, float]
-    k_long: dict[int, np.ndarray]
     incident: Optional[tuple[int, int]]
     lam: float
 
@@ -496,15 +489,15 @@ def solve_junction_scattering(
     all modal amplitudes are empty or zero).
     """
     solver = _HelmholtzSolver(geom, lam, n_ev=n_ev, node_budget=node_budget)
-    u = solver.solve([incident])[:, 0]
-    amps = solver.extract(u, incident)
+    u = solver.solve([incident])
+    amps = solver.modal_amplitudes(solver.extract(u, [incident])[:, 0], incident)
     field = DiscreteField(
         geometry=geom,
         lam=lam,
         h=geom.h,
         nodes=solver.grid.nodes,
         origin=solver.grid.origin,
-        values=u,
+        values=u[:, 0],
     )
     return field, amps
 
@@ -540,15 +533,12 @@ def junction_matrix(
     solver = _HelmholtzSolver(geom, lam, n_ev=n_ev, node_budget=node_budget)
     counts = tuple(sd.n_prop for sd in solver.grid.stubs)
     entries = [(s, m) for s, c in enumerate(counts) for m in range(c)]
-    dim = len(entries)
-    t = np.zeros((dim, dim), dtype=complex)
-    u = solver.solve(entries)
-    for col, inc in enumerate(entries):
-        amps = solver.extract(u[:, col], inc)
-        for row, (s, m) in enumerate(entries):
-            t[row, col] = amps.outgoing[s][m]
     return JunctionScattering(
-        matrix=t, lam=lam, h=geom.h, geometry_hash=geom.hash(), mode_counts=counts
+        matrix=solver.extract(solver.solve(entries), entries),
+        lam=lam,
+        h=geom.h,
+        geometry_hash=geom.hash(),
+        mode_counts=counts,
     )
 
 
@@ -703,9 +693,6 @@ def solve_network(
     lam: float,
     eps: float,
     incidents: Sequence[tuple[int, int]],
-    *,
-    n_ev: int = DEFAULT_N_EVANESCENT,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[NetworkSample]:
     """Solve the full rescaled thin network (widths fixed, finite channel
     lengths divided by eps) once for every (channel id, mode) incident, and
@@ -717,11 +704,11 @@ def solve_network(
         if cid not in stub_of_channel:
             raise ValueError(f"channel {cid} is not an infinite channel of the graph")
     stub_incidents = [(stub_of_channel[cid], mode) for cid, mode in incidents]
-    solver = _HelmholtzSolver(geom, lam, n_ev=n_ev, node_budget=node_budget)
-    u = solver.solve(stub_incidents)
+    solver = _HelmholtzSolver(geom, lam)
+    block = solver.extract(solver.solve(stub_incidents), stub_incidents)
     samples = []
     for col, (incident, inc) in enumerate(zip(incidents, stub_incidents)):
-        amps = solver.extract(u[:, col], inc)
+        amps = solver.modal_amplitudes(block[:, col], inc)
         samples.append(
             NetworkSample(
                 amplitudes={c: amps.outgoing[s].copy() for c, s in stub_of_channel.items()},

@@ -15,7 +15,6 @@ stays above the flag threshold and lambda is clear of thresholds.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -128,7 +127,6 @@ def sweep(
     steps: int,
     *,
     flag_tol: float = RCOND_TOL,
-    threads: int = 1,
 ) -> SweepResult:
     """Solve the graph on a uniform lambda grid and flag resonances.
 
@@ -141,31 +139,20 @@ def sweep(
     if steps < 2:
         raise ValueError("steps must be >= 2")
     if not lam_lo < lam_hi:
-        raise ValueError("need lam_lo < lam_hi")
+        raise ValueError(f"need lam_lo < lam_hi, got {lam_lo!r} and {lam_hi!r}")
     _check_interval_clear(g, lam_lo, lam_hi)
 
     lams = np.linspace(lam_lo, lam_hi, steps)
 
-    def solve_one(lam: float) -> SweepRow:
-        fields, ns = solve_scattering(
-            g, SolveRequest(lam=float(lam), eps=eps, incident=None), allow_flagged=True
+    rows = []
+    for lam in lams:
+        ns = solve_scattering(
+            g, SolveRequest(lam=float(lam), eps=eps), allow_flagged=True, rcond_tol=flag_tol
         )
         with np.errstate(invalid="ignore"):
             abs_t_sq = np.sum(np.abs(ns.t) ** 2, axis=0)
             flux = energy_report(ns).balance
-        return SweepRow(
-            lam=float(lam),
-            abs_t_sq=abs_t_sq,
-            flux_residual=flux,
-            rcond=ns.rcond,
-            certified=ns.certified,
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(solve_one, lams))
-    else:
-        rows = [solve_one(lam) for lam in lams]
+        rows.append(SweepRow(float(lam), abs_t_sq, flux, ns.rcond, ns.certified))
 
     if steps >= 3:
         step = (lam_hi - lam_lo) / (steps - 1)

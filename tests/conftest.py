@@ -216,8 +216,8 @@ def solved_random_ensemble():
     lam, eps = 5.0, 0.1
     while len(out) < 100:
         g = random_network(rng, lam)
-        fields, ns = solve_scattering(g, SolveRequest(lam, eps), allow_flagged=True)
+        ns = solve_scattering(g, SolveRequest(lam, eps), allow_flagged=True)
         if ns.ordering.M == 0:
             continue
-        out.append((g, fields, ns))
+        out.append((g, ns))
     return out, time.monotonic() - t0

@@ -21,6 +21,7 @@ from fiberwave.graph_solver import (
     energy_report,
     resolve_vertex,
     solve_scattering,
+    wave_fields,
 )
 from fiberwave.helmholtz_oracle import (
     cross_geometry,
@@ -51,7 +52,7 @@ def test_criterion_1_unitarity_symmetry(solved_random_ensemble):
     ensemble, build_seconds = solved_random_ensemble
     t0 = time.monotonic()
     worst_u, worst_s = 0.0, 0.0
-    for g, fields, ns in ensemble:
+    for g, ns in ensemble:
         assert ns.certified, "random ensemble hit a resonance; reseed"
         a = ns.weighted()
         eye = np.eye(ns.ordering.M)
@@ -68,7 +69,7 @@ def test_criterion_1_unitarity_symmetry(solved_random_ensemble):
 
 def test_criterion_2_energy_conservation(solved_random_ensemble):
     worst_b, worst_c = 0.0, 0.0
-    for g, fields, ns in solved_random_ensemble[0]:
+    for g, ns in solved_random_ensemble[0]:
         er = energy_report(ns)
         worst_b = max(worst_b, er.max_balance)
         worst_c = max(worst_c, er.max_cross)
@@ -79,12 +80,12 @@ def test_criterion_2_energy_conservation(solved_random_ensemble):
 
 def test_criterion_3_closed_form_lines():
     t0 = time.monotonic()
-    fields, ns = solve_scattering(dirichlet_lead(), SolveRequest(2.0, 0.1))
+    ns = solve_scattering(dirichlet_lead(), SolveRequest(2.0, 0.1))
     assert ns.t[0, 0] == -1.0
 
     worst = 0.0
     for eps in (1e-1, 1e-2, 1e-3):
-        fields, ns = solve_scattering(mirror_line(1.0), SolveRequest(2.0, eps))
+        ns = solve_scattering(mirror_line(1.0), SolveRequest(2.0, eps))
         expected = mirror_line_reflection(1.0, [1.0], eps)
         phase_err = abs(cmath.phase(ns.t[0, 0] / expected))
         assert abs(abs(ns.t[0, 0]) - 1.0) <= 1e-10
@@ -122,9 +123,9 @@ def test_criterion_4_spider_consistency():
                        MatrixJunction(lam, tuple(map(tuple, t_v)))),
             ),
         )
-        fields, ns = solve_scattering(g, SolveRequest(lam, eps))
+        ns = solve_scattering(g, SolveRequest(lam, eps))
         res = resolve_vertex(g, g.vertices[0], lam)
-        s0, s1 = boundary_value_matrices(fields, res, g)
+        s0, s1 = boundary_value_matrices(wave_fields(ns), res, g)
         eye = np.eye(res.dim)
         worst0 = max(worst0, float(np.max(np.abs(s0 - (eye + res.t_matrix)))))
         want = (1j / eps) * res.d_diag[:, None] * (res.t_matrix - eye)
@@ -177,7 +178,7 @@ def test_criterion_6_graph_vs_pde_convergence():
     g = two_cross_network(length, h)
     errs = {}
     for eps in (1.0, 0.5, 0.25):
-        fields, ns = solve_scattering(g, SolveRequest(lam, eps))
+        ns = solve_scattering(g, SolveRequest(lam, eps))
         sample = solve_network(g, lam, eps, [incident])[0]
         col = ns.ordering.index(*incident)
         errs[eps] = max(

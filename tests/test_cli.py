@@ -6,12 +6,14 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from fiberwave.cli import (
     EXIT_INVALID,
     EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
+    geometry_to_json,
     graph_from_json,
     graph_to_json,
     main,
@@ -325,6 +327,30 @@ def test_network_validate_skips_flagged(tmp_path, capsys, monkeypatch):
         ["network-validate", "--graph", gpath, "--lambda", "2", "--eps", "0.5", "--allow-flagged"]
     )
     assert rc == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [
+        (["solve", "--lambda", "nan", "--eps", "0.1"], "nan"),
+        (["solve", "--lambda", "inf", "--eps", "0.1"], "inf"),
+        (["solve", "--lambda", "2", "--eps", "-0.1"], "-0.1"),
+        (["solve", "--lambda", "2", "--eps", "inf"], "inf"),
+        (["solve", "--lambda", "2", "--eps", "0"], "0.0"),
+        (["sweep", "--lo=-inf", "--hi", "2", "--steps", "10", "--eps", "0.1"], "-inf"),
+        (["junction", "--lambda", "nan"], "nan"),
+    ],
+)
+def test_non_finite_lambda_and_bad_eps_exit_numeric(tmp_path, capsys, command, bad):
+    if command[0] == "junction":
+        geom = cross_geometry(math.pi, 2 * math.pi, math.pi / 16)
+        inputs = ["--geometry", write_json(tmp_path / "cross.json", geometry_to_json(geom))]
+    else:
+        inputs = ["--graph", dirichlet_graph_json(tmp_path)]
+    rc = main(command[:1] + inputs + command[1:] + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_NUMERIC
+    assert f"got {bad}" in err
 
 
 def test_exit_codes_parse_and_io(tmp_path, capsys):

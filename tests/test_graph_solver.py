@@ -41,6 +41,7 @@ from fiberwave.graph_solver import (
     resolve_vertex,
     solve_scattering,
     symmetric_unitary,
+    wave_fields,
 )
 from fiberwave.helmholtz_oracle import duct_geometry, junction_matrix
 
@@ -145,7 +146,7 @@ def test_oracle_junction_cache_is_bounded():
 
 
 def test_dirichlet_reflection_exact():
-    fields, ns = solve_scattering(dirichlet_lead(), SolveRequest(2.0, 0.1))
+    ns = solve_scattering(dirichlet_lead(), SolveRequest(2.0, 0.1))
     assert ns.t.shape == (1, 1)
     assert ns.t[0, 0] == -1.0  # forced by value trace = 0 at the vertex
     assert ns.certified
@@ -172,9 +173,9 @@ def test_assembly_reuses_plan_only_while_mode_counts_hold():
 def test_transparent_full_transmission():
     system = assemble_system(transparent_pair(), SolveRequest(2.0, 0.1))
     assert system.matrix.shape == (2, 2)
-    fields, ns = solve_scattering(transparent_pair(), SolveRequest(2.0, 0.1))
+    ns = solve_scattering(transparent_pair(), SolveRequest(2.0, 0.1))
     assert np.allclose(ns.t, [[0, 1], [1, 0]], atol=1e-14)
-    f = fields[0]
+    f = wave_fields(ns)[0]
     assert abs(f.alpha[1][0]) < 1e-14 and abs(f.alpha[2][0] - 1) < 1e-14
 
 
@@ -185,7 +186,7 @@ def test_solve_with_rectangle_and_disk_channels():
 
     sq = Rectangle(1.0, 1.0)
     lam = 25.0  # one propagating mode: 2 pi^2 < 25 < 5 pi^2
-    fields, ns = solve_scattering(transparent_pair(sq), SolveRequest(lam, 0.1))
+    ns = solve_scattering(transparent_pair(sq), SolveRequest(lam, 0.1))
     assert np.allclose(ns.t, [[0, 1], [1, 0]], atol=1e-12)
 
     disk = Disk(1.0)
@@ -194,14 +195,14 @@ def test_solve_with_rectangle_and_disk_channels():
         channels=(Channel(1, math.inf, disk, 1, None),),
         vertices=(Vertex(1, ((1, "start"),), Dirichlet()),),
     )
-    fields, ns = solve_scattering(g, SolveRequest(lam, 0.1))
+    ns = solve_scattering(g, SolveRequest(lam, 0.1))
     assert ns.t.shape == (1, 1) and abs(ns.t[0, 0] + 1) < 1e-14
     assert abs(ns.d_diag[0] - math.sqrt(lam - thresholds(disk, 1)[0])) < 1e-14
 
 
 def test_mirror_line_reflection_against_oracle():
     eps, length = 0.1, 1.0
-    fields, ns = solve_scattering(mirror_line(length), SolveRequest(2.0, eps))
+    ns = solve_scattering(mirror_line(length), SolveRequest(2.0, eps))
     expected = mirror_line_reflection(1.0, [length], eps)  # -e^{2ikl/eps}
     assert abs(ns.t[0, 0] - expected) < 1e-12
     assert abs(ns.t[0, 0] - (-cmath.exp(20j))) < 1e-12
@@ -209,7 +210,7 @@ def test_mirror_line_reflection_against_oracle():
 
 def test_fabry_perot_transmission():
     eps, length = 0.1, 1.0
-    fields, ns = solve_scattering(fabry_perot_line(length), SolveRequest(2.0, eps))
+    ns = solve_scattering(fabry_perot_line(length), SolveRequest(2.0, eps))
     t21 = ns.t[1, 0]
     assert abs(abs(t21) - 1.0) < 1e-12
     assert abs(t21 - mp_phase_factor(1.0, length, eps)) < 1e-12
@@ -218,7 +219,7 @@ def test_fabry_perot_transmission():
 @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-6])
 def test_phase_accuracy_small_eps(eps):
     """Fabry-Perot phase arg(t) = k l / eps mod 2pi to 1e-8 down to 1e-6."""
-    fields, ns = solve_scattering(fabry_perot_line(1.0), SolveRequest(2.0, eps))
+    ns = solve_scattering(fabry_perot_line(1.0), SolveRequest(2.0, eps))
     expected = mp_phase_factor(1.0, 1.0, eps)
     assert abs(cmath.phase(ns.t[1, 0] / expected)) < 1e-8
 
@@ -250,7 +251,7 @@ def test_near_singular_raise_and_flag():
     lam_star = 1.0 + (math.pi * eps) ** 2  # embedded eigenvalue of the edge
     with pytest.raises(NearSingular):
         solve_scattering(g, SolveRequest(lam_star, eps))
-    fields, ns = solve_scattering(g, SolveRequest(lam_star, eps), allow_flagged=True)
+    ns = solve_scattering(g, SolveRequest(lam_star, eps), allow_flagged=True)
     assert not ns.certified
     assert ns.rcond < 1e-10
 
@@ -262,17 +263,17 @@ def test_near_singular_raise_and_flag():
 def test_gc_residual_of_solved_field_small():
     g = mirror_line(1.0)
     req = SolveRequest(2.0, 0.1)
-    fields, ns = solve_scattering(g, req)
+    ns = solve_scattering(g, req)
     for v in g.vertices:
         res = resolve_vertex(g, v, req.lam)
-        assert gc_residual(fields[0], res, g, req.eps) <= 1e-10
+        assert gc_residual(wave_fields(ns)[0], res, g, req.eps) <= 1e-10
 
 
 def test_gc_residual_detects_perturbation():
     g = mirror_line(1.0)
     req = SolveRequest(2.0, 0.1)
-    fields, ns = solve_scattering(g, req)
-    f = fields[0]
+    ns = solve_scattering(g, req)
+    f = wave_fields(ns)[0]
     f.alpha[2] = f.alpha[2] + 1e-3
     worst = max(
         gc_residual(f, resolve_vertex(g, v, req.lam), g, req.eps) for v in g.vertices
@@ -294,7 +295,7 @@ def test_gc_residual_zero_field():
 
 
 def test_energy_balance_dirichlet():
-    fields, ns = solve_scattering(dirichlet_lead(), SolveRequest(2.0, 0.1))
+    ns = solve_scattering(dirichlet_lead(), SolveRequest(2.0, 0.1))
     er = energy_report(ns)
     assert er.max_balance <= 1e-14
     assert er.max_cross == 0.0
@@ -305,7 +306,7 @@ def test_energy_balance_lossy_junction():
         channels=(Channel(1, math.inf, W_PI, 1, None),),
         vertices=(Vertex(1, ((1, "start"),), MatrixJunction(2.0, ((-0.5 + 0j,),))),),
     )
-    fields, ns = solve_scattering(g, SolveRequest(2.0, 0.1))
+    ns = solve_scattering(g, SolveRequest(2.0, 0.1))
     er = energy_report(ns)
     assert abs(er.balance[0] - (-0.75)) < 1e-14  # |−0.5|^2 − 1 times k = 1
 
@@ -322,7 +323,7 @@ def test_unitarity_symmetry_random_networks():
     # system; it must solve certified
     loop = loop_network(np.random.default_rng(6), lam)
     for g in graphs + [loop]:
-        fields, ns = solve_scattering(g, SolveRequest(lam, eps), allow_flagged=g is not loop)
+        ns = solve_scattering(g, SolveRequest(lam, eps), allow_flagged=g is not loop)
         if ns.ordering.M == 0 or not ns.certified:
             continue
         a = ns.weighted()
@@ -332,7 +333,7 @@ def test_unitarity_symmetry_random_networks():
         er = energy_report(ns)
         assert er.max_balance <= 1e-10
         assert er.max_cross <= 1e-10
-        for f in fields:
+        for f in wave_fields(ns):
             for v in g.vertices:
                 assert gc_residual(f, resolve_vertex(g, v, lam), g, eps) <= 1e-10
 
@@ -360,9 +361,9 @@ def test_spider_consistency_random():
             channels=channels,
             vertices=(Vertex(1, ends, MatrixJunction(lam, tuple(map(tuple, t_v)))),),
         )
-        fields, ns = solve_scattering(g, SolveRequest(lam, eps))
+        ns = solve_scattering(g, SolveRequest(lam, eps))
         res = resolve_vertex(g, g.vertices[0], lam)
-        s0, s1 = boundary_value_matrices(fields, res, g)
+        s0, s1 = boundary_value_matrices(wave_fields(ns), res, g)
         eye = np.eye(res.dim)
         assert np.max(np.abs(s0 - (eye + res.t_matrix))) <= 1e-10
         want = (1j / eps) * res.d_diag[:, None] * (res.t_matrix - eye)
@@ -388,7 +389,7 @@ def test_permutation_equivariance():
     rng = np.random.default_rng(5)
     lam, eps = 5.0, 0.1
     g = random_network(rng, lam)
-    fields, ns = solve_scattering(g, SolveRequest(lam, eps), allow_flagged=True)
+    ns = solve_scattering(g, SolveRequest(lam, eps), allow_flagged=True)
     # relabel channel ids through an order-reversing map
     ids = sorted(c.id for c in g.channels)
     relabel = {old: new for old, new in zip(ids, reversed(ids))}
@@ -400,7 +401,7 @@ def test_permutation_equivariance():
         for v in g.vertices
     )
     g2 = MetricGraph(channels=channels, vertices=vertices)
-    fields2, ns2 = solve_scattering(g2, SolveRequest(lam, eps), allow_flagged=True)
+    ns2 = solve_scattering(g2, SolveRequest(lam, eps), allow_flagged=True)
     perm = [ns2.ordering.index(relabel[cid], n) for cid, n in ns.ordering.entries]
     assert np.array_equal(ns2.t[np.ix_(perm, perm)], ns.t)
 
@@ -408,7 +409,7 @@ def test_permutation_equivariance():
 def test_eps_scaling_invariance():
     """(eps, lengths) -> (c eps, c lengths) leaves the matrix unchanged."""
     g = mirror_line(1.0)
-    fields, ns = solve_scattering(g, SolveRequest(2.0, 0.1))
+    ns = solve_scattering(g, SolveRequest(2.0, 0.1))
     c = 3.7
     g2 = MetricGraph(
         channels=tuple(
@@ -417,15 +418,20 @@ def test_eps_scaling_invariance():
         ),
         vertices=g.vertices,
     )
-    fields2, ns2 = solve_scattering(g2, SolveRequest(2.0, 0.1 * c))
+    ns2 = solve_scattering(g2, SolveRequest(2.0, 0.1 * c))
     assert np.max(np.abs(ns.t - ns2.t)) <= 1e-10
 
 
-def test_incident_selection_returns_single_field():
+def test_wave_fields_follow_mode_ordering():
     g = transparent_pair()
-    fields, ns = solve_scattering(g, SolveRequest(2.0, 0.1, incident=(2, 0)))
-    assert len(fields) == 1
-    assert fields[0].incident == (2, 0)
+    ns = solve_scattering(g, SolveRequest(2.0, 0.1))
+    fields = wave_fields(ns)
+    assert len(fields) == ns.ordering.M
+    for c, field in enumerate(fields):
+        assert field.incident == ns.ordering.entries[c]
+        for r, (cid, n) in enumerate(ns.ordering.entries):
+            assert field.alpha[cid][n] == ns.t[r, c]
+            assert field.beta[cid][n] == (r == c)
     assert ns.t.shape == (2, 2)  # matrix always full
 
 

@@ -13,6 +13,7 @@ from fiberwave.errors import (
     GeometryInvalid,
     GridBudgetExceeded,
     GridTooCoarse,
+    NonConvergedSolve,
 )
 from fiberwave.graph_model import Channel, MetricGraph, OracleJunction, Vertex
 from fiberwave.graph_solver import SolveRequest, solve_scattering
@@ -212,6 +213,15 @@ def test_grid_budget():
         solve_junction_scattering(duct_geometry(W, 2 * W, math.pi / 64), LAM, (0, 0), node_budget=100)
 
 
+def test_singular_factorization_is_non_converged(monkeypatch):
+    def singular(mat):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(helmholtz_oracle, "splu", singular)
+    with pytest.raises(NonConvergedSolve, match="exactly singular"):
+        junction_matrix(duct_geometry(W, 2 * W, math.pi / 16), LAM)
+
+
 # ---------------------------------------------------------------------------
 # full-network solves
 
@@ -244,7 +254,7 @@ def test_network_duct_matches_graph_fabry_perot():
     length, eps, h = math.pi, 0.5, math.pi / 32
     g = duct_network(length, h)
     sample = solve_network(g, LAM, eps, [(1, 0)])[0]
-    fields, ns = solve_scattering(g, SolveRequest(LAM, eps))
+    ns = solve_scattering(g, SolveRequest(LAM, eps))
     col = ns.ordering.index(1, 0)
     t_graph = ns.t[ns.ordering.index(3, 0), col]
     t_oracle = sample.amplitudes[3][0]
@@ -284,7 +294,7 @@ def test_network_elbow_pair_error_non_increasing_in_eps():
     for eps in (1.0, 0.5, 0.25):
         g = elbow_pair_network(math.pi / 2, h)
         sample = solve_network(g, LAM, eps, [(1, 0)])[0]
-        fields, ns = solve_scattering(g, SolveRequest(LAM, eps))
+        ns = solve_scattering(g, SolveRequest(LAM, eps))
         col = ns.ordering.index(1, 0)
         errs[eps] = max(
             abs(ns.t[ns.ordering.index(c, 0), col] - sample.amplitudes[c][0]) for c in (1, 3)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from fiberwave.cli import graph_to_json, main
 from fiberwave.cross_section import Interval
 from fiberwave.errors import (
     DimensionMismatch,
@@ -14,6 +16,7 @@ from fiberwave.errors import (
     IntervalContainsThreshold,
 )
 from fiberwave.graph_model import Channel, Dirichlet, MetricGraph, Vertex
+from fiberwave.graph_solver import RCOND_TOL
 from fiberwave.spectrum_tools import export_spectrum, sweep, threshold_extrapolate
 
 from conftest import dirichlet_edge_graph, dirichlet_lead, fabry_perot_line
@@ -42,9 +45,12 @@ def test_sweep_flags_edge_eigenvalues():
         assert any(lo - step <= e <= hi + step for lo, hi in sr.flagged_intervals)
     for lo, hi in sr.flagged_intervals:
         assert any(lo - step <= e <= hi + step for e in eigs)
-    # uncertified rows carry the dip conditioning, certified ones stay clean
-    for r in sr.rows:
-        assert r.certified == (r.rcond >= sr.flag_tol)
+    # uncertified rows carry the dip conditioning, certified ones stay
+    # clean, whatever the flag threshold
+    for flag_tol in (RCOND_TOL, 0.5):
+        sr = sweep(g, eps, 1.05, 2.0, 100, flag_tol=flag_tol)
+        for r in sr.rows:
+            assert r.certified == (r.rcond >= flag_tol)
 
 
 def test_sweep_certified_rows_conserve_flux():
@@ -93,13 +99,16 @@ def test_sweep_rejects_threshold_in_interval():
 
 
 def test_sweep_threads_deterministic(tmp_path):
-    g = dirichlet_edge_graph(1.0)
-    sr1 = sweep(g, 0.1, 1.05, 1.3, 60, threads=1)
-    sr2 = sweep(g, 0.1, 1.05, 1.3, 60, threads=4)
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    export_spectrum(sr1, p1)
-    export_spectrum(sr2, p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(graph_to_json(dirichlet_edge_graph(1.0))))
+    outs = []
+    for threads in ("1", "4"):
+        out = tmp_path / f"threads{threads}.csv"
+        argv = ["sweep", "--graph", str(gpath), "--lo", "1.05", "--hi", "1.3", "--steps", "60",
+                "--eps", "0.1", "--allow-flagged", "--threads", threads, "--out", str(out)]
+        assert main(argv) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_export_minimal_and_flagged(tmp_path):
