@@ -118,6 +118,8 @@ def geometry_to_json(geom: PlanarGeometry) -> dict:
 
 
 def geometry_from_json(d: dict) -> PlanarGeometry:
+    if not isinstance(d, dict):
+        raise ParseError(f"geometry must be a JSON object, got {d!r}")
     try:
         cores = tuple(tuple(float(x) for x in r) for r in d.get("cores", []))
         stubs = tuple(
@@ -147,6 +149,8 @@ def junction_to_json(j) -> dict:
 
 
 def junction_from_json(d: dict):
+    if not isinstance(d, dict):
+        raise ParseError(f"junction must be a JSON object, got {d!r}")
     kind = d.get("kind")
     if kind == "dirichlet":
         return Dirichlet()
@@ -222,8 +226,11 @@ def graph_from_json(d: dict) -> MetricGraph:
 
 
 def load_json(path: str) -> dict:
-    with open(path) as f:
-        text = f.read()
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -301,7 +308,7 @@ def _cmd_junction(args) -> int:
     geom = geometry_from_json(load_json(args.geometry))
     if args.h is not None:
         geom = PlanarGeometry(cores=geom.cores, stubs=geom.stubs, h=args.h)
-    js = junction_matrix(geom, args.lam, n_ev=args.n_ev)
+    js = junction_matrix(geom, args.lam)
     payload = {
         "kind": "tabulated",
         "table": [{"lambda": js.lam, "matrix": _matrix_out(js.matrix)}],
@@ -316,20 +323,12 @@ def _cmd_junction(args) -> int:
     return EXIT_OK
 
 
-def _parse_incident(text: str | None) -> tuple[int, int] | None:
-    if text is None:
-        return None
-    try:
-        cid, mode = text.split(",")
-        return (int(cid), int(mode))
-    except ValueError as exc:
-        raise ParseError(f"--incident expects 'channel,mode', got {text!r}") from exc
-
-
 def _cmd_network_validate(args) -> int:
     g = load_graph(args.graph)
-    eps_list = [float(e) for e in args.eps.split(",")]
-    incident = _parse_incident(args.incident)
+    try:
+        eps_list = [float(e) for e in args.eps.split(",")]
+    except ValueError as exc:
+        raise ParseError(f"--eps expects comma-separated numbers, got {args.eps!r}") from exc
     lines = ["eps,channel,mode,t_graph_re,t_graph_im,t_oracle_re,t_oracle_im,abs_diff"]
     worst_by_eps = {}
     skipped = []
@@ -340,19 +339,17 @@ def _cmd_network_validate(args) -> int:
             skipped.append(eps)
             sys.stderr.write(f"eps={eps}: graph solve flagged ({exc}); comparison skipped\n")
             continue
-        columns = [incident] if incident else list(ns.ordering.entries)
+        t_oracle = solve_network(g, args.lam, eps)
         worst = 0.0
-        for inc, sample in zip(columns, solve_network(g, args.lam, eps, columns)):
-            col = ns.ordering.index(*inc)
-            for cid, amps in sorted(sample.amplitudes.items()):
-                for mode, t_o in enumerate(amps):
-                    t_g = ns.t[ns.ordering.index(cid, mode), col]
-                    diff = float(abs(t_g - t_o))
-                    worst = max(worst, diff)
-                    lines.append(
-                        f"{eps!r},{cid},{mode},{float(t_g.real)!r},{float(t_g.imag)!r},"
-                        f"{float(t_o.real)!r},{float(t_o.imag)!r},{diff!r}"
-                    )
+        for col in range(ns.ordering.M):
+            for row, (cid, mode) in enumerate(ns.ordering.entries):
+                t_g, t_o = ns.t[row, col], t_oracle[row, col]
+                diff = float(abs(t_g - t_o))
+                worst = max(worst, diff)
+                lines.append(
+                    f"{eps!r},{cid},{mode},{float(t_g.real)!r},{float(t_g.imag)!r},"
+                    f"{float(t_o.real)!r},{float(t_o.imag)!r},{diff!r}"
+                )
         worst_by_eps[eps] = worst
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -468,14 +465,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--geometry", required=True, help="geometry JSON file")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--h", type=float, help="override grid spacing")
-    p.add_argument("--n-ev", type=int, default=8, help="retained evanescent modes")
     p.add_argument("--out", help="output JSON path (default: stdout)")
 
     p = sub.add_parser("network-validate", help="compare graph model against the 2-D solver")
     common(p)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--eps", required=True, help="comma-separated eps list")
-    p.add_argument("--incident", help="channel,mode (default: all columns)")
     p.add_argument("--out", help="output CSV path (default: stdout)")
 
     p = sub.add_parser("check", help="run the property suite on a graph")

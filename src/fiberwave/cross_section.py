@@ -64,13 +64,19 @@ def _dims_valid(shape: CrossSectionShape) -> bool:
 # Mode descriptors: Interval -> n; Rectangle -> (p, q); Disk -> (m, k, parity)
 # with parity 0 = cos(m theta), 1 = sin(m theta).
 
+#: Entries kept by each spectrum cache below.  One request touches at most
+#: about 134 keys of one cache (a 10x10 lattice of distinct shapes), so
+#: repeated lambdas of one request always hit, while a long-lived process
+#: keeps a fixed amount of memory however many distinct shapes it sees.
+SPECTRUM_CACHE_SIZE = 1024
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
 def _interval_modes(width: float, count: int) -> tuple[tuple[float, int], ...]:
     return tuple((((n + 1) * math.pi / width) ** 2, n) for n in range(count))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
 def _rectangle_modes(a: float, b: float, count: int):
     # Any eigenvalue among the `count` smallest has both indices <= count.
     cand = []
@@ -82,12 +88,12 @@ def _rectangle_modes(a: float, b: float, count: int):
     return tuple(cand[:count])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
 def _bessel_zero(m: int, k: int) -> float:
     return float(jn_zeros(m, k)[-1])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
 def _disk_modes(radius: float, count: int):
     # Order m contributes zeros j_{m,k}; multiplicity 2 for m >= 1
     # (cos/sin variants).  j_{m,1} is increasing in m, so orders beyond

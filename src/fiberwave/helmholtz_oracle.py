@@ -21,8 +21,10 @@ truncation) and referenced to the base plane in the continuum phase
 convention, so they converge at O(h^2) to the continuum matrices.
 Junctions are solved once at unit scale; rescaling the network by the fiber
 thickness maps the thin problem onto widths-fixed geometry with channel
-lengths divided by the thickness, which is how full-network reference
-solutions are produced.
+lengths divided by the thickness.  That rescaled network is one more
+junction whose stubs are the graph's infinite channels, so the full-network
+reference matrix comes from the same solve as every junction matrix, with
+rows and columns already in the graph's global mode ordering.
 """
 
 from __future__ import annotations
@@ -128,23 +130,16 @@ class _StubData:
 class _Grid:
     """Lattice discretization of a PlanarGeometry at one lambda."""
 
-    def __init__(
-        self,
-        geom: PlanarGeometry,
-        lam: float,
-        n_ev: int = DEFAULT_N_EVANESCENT,
-        node_budget: int = DEFAULT_NODE_BUDGET,
-    ):
+    def __init__(self, geom: PlanarGeometry, lam: float):
         h = geom.h
-        if h <= 0:
-            raise GeometryInvalid("grid spacing must be positive")
+        if not (h > 0 and math.isfinite(h)):
+            raise GeometryInvalid(f"grid spacing must be positive and finite, got {h!r}")
         if not math.isfinite(lam):
             raise ValueError(f"lambda must be finite, got {lam!r}")
         if lam > 0 and h > 2.0 * math.pi / (10.0 * math.sqrt(lam)):
             raise GridTooCoarse(
                 f"h = {h!r} resolves fewer than 10 points per wavelength at lambda = {lam!r}"
             )
-        self.lam = lam
         self.h = h
 
         rects = [self._rect_to_lattice(r, h) for r in geom.cores]
@@ -163,7 +158,6 @@ class _Grid:
         iy0 = min(r[1] for r in rects)
         ix1 = max(r[2] for r in rects)
         iy1 = max(r[3] for r in rects)
-        self.origin = (ix0, iy0)
         ncx, ncy = ix1 - ix0, iy1 - iy0
 
         covered = np.zeros((ncx, ncy), dtype=bool)
@@ -184,7 +178,7 @@ class _Grid:
         plane_mask = np.zeros_like(interior)
         for si, (s, r) in enumerate(zip(geom.stubs, rects[len(geom.cores) :])):
             lattice = (r[0] - ix0, r[1] - iy0, r[2] - ix0, r[3] - iy0)
-            self.stubs.append(self._stub_data(si, s, lattice, lam, n_ev))
+            self.stubs.append(self._stub_data(si, s, lattice, lam))
 
         # enumerate unknowns: interior nodes first (row-major), then plane nodes
         ii, jj = np.nonzero(interior)
@@ -199,18 +193,13 @@ class _Grid:
             self.idx[plane] = np.arange(count, count + sd.n_t)
             count += sd.n_t
         self.n_unknowns = count
-        if count > node_budget:
-            raise GridBudgetExceeded(f"{count} unknowns exceed the budget of {node_budget}")
+        if count > DEFAULT_NODE_BUDGET:
+            raise GridBudgetExceeded(f"{count} unknowns exceed the budget of {DEFAULT_NODE_BUDGET}")
         if count == 0:
             raise GeometryInvalid("no interior nodes; geometry too thin for this h")
 
         for sd in self.stubs:
             self._fill_stub_ids(sd)
-
-        node_list = np.argwhere(self.idx >= 0)
-        order = self.idx[node_list[:, 0], node_list[:, 1]]
-        self.nodes = np.zeros((count, 2), dtype=np.int64)
-        self.nodes[order] = node_list
 
     @staticmethod
     def _rect_to_lattice(r: Rect, h: float) -> tuple[int, int, int, int]:
@@ -224,9 +213,7 @@ class _Grid:
             _to_lattice(y1, h, "rectangle y1"),
         )
 
-    def _stub_data(
-        self, si: int, s: Stub, lattice: tuple[int, int, int, int], lam: float, n_ev: int
-    ) -> _StubData:
+    def _stub_data(self, si: int, s: Stub, lattice: tuple[int, int, int, int], lam: float) -> _StubData:
         h = self.h
         ax0, ay0, ax1, ay1 = lattice
         if s.direction in ("+x", "-x"):
@@ -250,7 +237,7 @@ class _Grid:
                 f"stub {si}: discrete grid sees {n_prop} propagating modes, continuum has "
                 f"{len(ths)}; lambda = {lam!r} too close to a threshold for h = {h!r}"
             )
-        n_retained = min(n_prop + n_ev, n_t)
+        n_retained = min(n_prop + DEFAULT_N_EVANESCENT, n_t)
         # The discrete outgoing wave of mode n advances by theta_n per cell:
         # 2(1 - cos theta)/h^2 + mu = lam.  Closing the strip with the exact
         # discrete ratio makes the truncation reflection-free, so the
@@ -304,14 +291,8 @@ class _Grid:
 class _HelmholtzSolver:
     """Factorized discrete Helmholtz operator with modal DtN closures."""
 
-    def __init__(
-        self,
-        geom: PlanarGeometry,
-        lam: float,
-        n_ev: int = DEFAULT_N_EVANESCENT,
-        node_budget: int = DEFAULT_NODE_BUDGET,
-    ):
-        self.grid = _Grid(geom, lam, n_ev=n_ev, node_budget=node_budget)
+    def __init__(self, geom: PlanarGeometry, lam: float):
+        self.grid = _Grid(geom, lam)
         self.lam = lam
         g = self.grid
         h = g.h
@@ -367,18 +348,17 @@ class _HelmholtzSolver:
 
     @cached_property
     def lu(self):
-        """SuperLU factorization, made on first use so that every incident
-        of a solve is validated before the operator is factored."""
+        """SuperLU factorization, made on first use rather than in __init__
+        so that the assembly's COO pieces are freed before the factor's
+        fill-in is allocated (a few MB off the peak on pi/64 networks)."""
         try:
             return splu(self.matrix)
         except RuntimeError as exc:  # SuperLU: the operator is exactly singular
             raise NonConvergedSolve(f"factorization failed at lambda = {self.lam!r}: {exc}") from exc
 
-    def rhs_for(self, incident: Optional[tuple[int, int]]) -> np.ndarray:
+    def rhs_for(self, incident: tuple[int, int]) -> np.ndarray:
         g = self.grid
         b = np.zeros(g.n_unknowns, dtype=complex)
-        if incident is None:
-            return b
         si, mode = incident
         if not 0 <= si < len(g.stubs):
             raise ValueError(f"no stub {si}")
@@ -393,7 +373,7 @@ class _HelmholtzSolver:
         b[sd.plane_ids] = sd.phi[mode] * amp
         return b
 
-    def solve(self, incidents: Sequence[Optional[tuple[int, int]]]) -> np.ndarray:
+    def solve(self, incidents: Sequence[tuple[int, int]]) -> np.ndarray:
         """Fields of all incidents as the columns of one (n, k) block, from
         one multi-right-hand-side solve and one step of block iterative
         refinement; each column must meet the residual test on its own."""
@@ -404,12 +384,12 @@ class _HelmholtzSolver:
         u = u + self.lu.solve(b - self.matrix @ u)
         scale = np.maximum(np.max(np.abs(b), axis=0), 1e-300)
         rel = np.max(np.abs(b - self.matrix @ u), axis=0) / scale
-        for col, inc in enumerate(incidents):
-            if inc is not None and (not np.all(np.isfinite(u[:, col])) or rel[col] > 1e-8):
+        for col in range(len(incidents)):
+            if not np.all(np.isfinite(u[:, col])) or rel[col] > 1e-8:
                 raise NonConvergedSolve(f"discrete solve residual {rel[col]:.3e}")
         return u
 
-    def extract(self, u: np.ndarray, incidents: Sequence[Optional[tuple[int, int]]]) -> np.ndarray:
+    def extract(self, u: np.ndarray, incidents: Sequence[tuple[int, int]]) -> np.ndarray:
         """Outgoing amplitudes of every (stub, propagating mode) row, stubs in
         geometry order, for every column of the solved block u, projected on
         the extraction plane and referenced to the stub base plane in the
@@ -420,86 +400,11 @@ class _HelmholtzSolver:
             p_e = sd.extract_cells
             hat = h * (sd.phi[: sd.n_prop] @ u[sd.extract_ids])
             for col, inc in enumerate(incidents):
-                if inc is not None and inc[0] == sd.index:
+                if inc[0] == sd.index:
                     # remove the (exactly known) discrete incident wave
                     hat[inc[1], col] -= np.exp(-1j * sd.theta[inc[1]] * p_e)
             blocks.append(hat * np.exp(-1j * sd.k_cont * (p_e * h))[:, None])
         return np.concatenate(blocks)
-
-    def modal_amplitudes(self, column: np.ndarray, incident: Optional[tuple[int, int]]) -> "ModalAmplitudes":
-        """One column of the extracted block, split by stub."""
-        offsets = np.cumsum([sd.n_prop for sd in self.grid.stubs])[:-1]
-        return ModalAmplitudes(
-            outgoing=dict(enumerate(np.split(column, offsets))), incident=incident, lam=self.lam
-        )
-
-
-@dataclass
-class ModalAmplitudes:
-    """Outgoing amplitudes per stub and propagating mode, referenced to the
-    stub base plane."""
-
-    outgoing: dict[int, np.ndarray]
-    incident: Optional[tuple[int, int]]
-    lam: float
-
-
-@dataclass
-class DiscreteField:
-    """Complex field values on the unknown grid nodes."""
-
-    geometry: PlanarGeometry
-    lam: float
-    h: float
-    nodes: np.ndarray  # (n, 2) lattice offsets from the grid origin
-    origin: tuple[int, int]
-    values: np.ndarray
-
-
-def flux_residual(amps: ModalAmplitudes, geom: PlanarGeometry) -> float:
-    """Energy balance sum_(stub,n) sqrt(lam - lam_n) |t|^2 - sqrt(lam - lam_inc),
-    with continuum thresholds; 0 for the continuum problem, O(h^2) here."""
-    lam = amps.lam
-    total = 0.0
-    for si, out in amps.outgoing.items():
-        w = geom.stubs[si].width
-        ths = cs.thresholds(cs.Interval(w), len(out)) if len(out) else []
-        for m, t in enumerate(out):
-            total += math.sqrt(lam - ths[m]) * abs(t) ** 2
-    if amps.incident is not None:
-        si, mode = amps.incident
-        w = geom.stubs[si].width
-        ths = cs.thresholds(cs.Interval(w), mode + 1)
-        total -= math.sqrt(lam - ths[mode])
-    return total
-
-
-def solve_junction_scattering(
-    geom: PlanarGeometry,
-    lam: float,
-    incident: Optional[tuple[int, int]],
-    *,
-    n_ev: int = DEFAULT_N_EVANESCENT,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> tuple[DiscreteField, ModalAmplitudes]:
-    """Solve one junction scattering problem.
-
-    `incident` is a (stub index, propagating mode) pair, or None for the
-    homogeneous problem (no open incident channel: the field is zero and
-    all modal amplitudes are empty or zero).
-    """
-    solver = _HelmholtzSolver(geom, lam, n_ev=n_ev, node_budget=node_budget)
-    u = solver.solve([incident])
-    amps = solver.modal_amplitudes(solver.extract(u, [incident])[:, 0], incident)
-    field = DiscreteField(
-        geometry=geom,
-        lam=lam,
-        h=geom.h,
-        nodes=solver.grid.nodes,
-        origin=solver.grid.origin,
-        values=u[:, 0],
-    )
-    return field, amps
 
 
 @dataclass
@@ -507,10 +412,12 @@ class JunctionScattering:
     """Junction scattering matrix with provenance metadata.
 
     Rows and columns follow the vertex-local order: stubs in geometry
-    order, propagating modes ascending within each stub.
+    order, propagating modes ascending within each stub.  `d_diag` holds
+    the continuum wavenumber sqrt(lam - lam_n) of each row.
     """
 
     matrix: np.ndarray
+    d_diag: np.ndarray
     lam: float
     h: float
     geometry_hash: str
@@ -521,25 +428,35 @@ class JunctionScattering:
         return [(s, m) for s, c in enumerate(self.mode_counts) for m in range(c)]
 
 
-def junction_matrix(
-    geom: PlanarGeometry,
-    lam: float,
-    *,
-    n_ev: int = DEFAULT_N_EVANESCENT,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> JunctionScattering:
+def _scatter(geom: PlanarGeometry, lam: float) -> tuple[np.ndarray, list[_StubData]]:
+    """Outgoing amplitudes of every (stub, propagating mode) row for every
+    (stub, propagating mode) incident column, from one factorization and
+    one block solve, with the stubs that label the rows and columns."""
+    solver = _HelmholtzSolver(geom, lam)
+    stubs = solver.grid.stubs
+    entries = [(sd.index, m) for sd in stubs for m in range(sd.n_prop)]
+    return solver.extract(solver.solve(entries), entries), stubs
+
+
+def junction_matrix(geom: PlanarGeometry, lam: float) -> JunctionScattering:
     """Scattering matrix of a junction geometry: one factorization, with
     every incident (stub, mode) a column of one block solve."""
-    solver = _HelmholtzSolver(geom, lam, n_ev=n_ev, node_budget=node_budget)
-    counts = tuple(sd.n_prop for sd in solver.grid.stubs)
-    entries = [(s, m) for s, c in enumerate(counts) for m in range(c)]
+    matrix, stubs = _scatter(geom, lam)
     return JunctionScattering(
-        matrix=solver.extract(solver.solve(entries), entries),
+        matrix=matrix,
+        d_diag=np.array([k for sd in stubs for k in sd.k_cont]),
         lam=lam,
         h=geom.h,
         geometry_hash=geom.hash(),
-        mode_counts=counts,
+        mode_counts=tuple(sd.n_prop for sd in stubs),
     )
+
+
+def flux_residual(js: JunctionScattering) -> np.ndarray:
+    """Energy balance of each incident column c, sum_r d_r |T_rc|^2 - d_c
+    with continuum wavenumbers d; 0 for the continuum problem, O(h^2)
+    here."""
+    return js.d_diag @ np.abs(js.matrix) ** 2 - js.d_diag
 
 
 def _opposite(direction: str) -> str:
@@ -557,7 +474,7 @@ def _transverse_range(s: Stub) -> tuple[float, float]:
     return (y0, y1) if s.direction in ("+x", "-x") else (x0, x1)
 
 
-def network_geometry(g: MetricGraph, eps: float) -> tuple[PlanarGeometry, dict[int, int]]:
+def network_geometry(g: MetricGraph, eps: float) -> PlanarGeometry:
     """Lay out the rescaled planar network defined by a graph whose vertices
     all carry oracle junction geometries.
 
@@ -565,8 +482,7 @@ def network_geometry(g: MetricGraph, eps: float) -> tuple[PlanarGeometry, dict[i
     length l becomes a straight rectangle of length l/eps joining the
     attachment planes of the two stubs that serve its ends, which must point
     toward each other.  Infinite channels keep their stub (with its
-    truncation plane).  Returns the assembled geometry and the map from
-    infinite channel id to stub index.
+    truncation plane); the stubs follow g.infinite_channel_ids.
     """
     vgeoms: dict[int, PlanarGeometry] = {}
     h: Optional[float] = None
@@ -666,60 +582,17 @@ def network_geometry(g: MetricGraph, eps: float) -> tuple[PlanarGeometry, dict[i
             cores.append((x0 + dx, y0 + dy, x1 + dx, y1 + dy))
     cores.extend(channel_rects)
 
-    stubs: list[Stub] = []
-    stub_of_channel: dict[int, int] = {}
-    for cid in g.infinite_channel_ids:
-        vid, i = stub_of_end[(cid, START)]
-        stub_of_channel[cid] = len(stubs)
-        stubs.append(stub_global(vid, i))
-
-    return PlanarGeometry(cores=tuple(cores), stubs=tuple(stubs), h=h), stub_of_channel
+    stubs = tuple(stub_global(*stub_of_end[(cid, START)]) for cid in g.infinite_channel_ids)
+    return PlanarGeometry(cores=tuple(cores), stubs=stubs, h=h)
 
 
-@dataclass
-class NetworkSample:
-    """Full-network reference solution for one incident wave."""
-
-    amplitudes: dict[int, np.ndarray]  # infinite channel id -> outgoing amplitudes
-    incident: tuple[int, int]  # (channel id, mode)
-    lam: float
-    eps: float
-    flux: float
-    geometry: PlanarGeometry
-
-
-def solve_network(
-    g: MetricGraph,
-    lam: float,
-    eps: float,
-    incidents: Sequence[tuple[int, int]],
-) -> list[NetworkSample]:
-    """Solve the full rescaled thin network (widths fixed, finite channel
-    lengths divided by eps) once for every (channel id, mode) incident, and
-    extract outgoing amplitudes on the infinite channels, each sample
-    directly comparable with a graph-model scattering column.  The network
-    is laid out and factored once per call."""
-    geom, stub_of_channel = network_geometry(g, eps)
-    for cid, _mode in incidents:
-        if cid not in stub_of_channel:
-            raise ValueError(f"channel {cid} is not an infinite channel of the graph")
-    stub_incidents = [(stub_of_channel[cid], mode) for cid, mode in incidents]
-    solver = _HelmholtzSolver(geom, lam)
-    block = solver.extract(solver.solve(stub_incidents), stub_incidents)
-    samples = []
-    for col, (incident, inc) in enumerate(zip(incidents, stub_incidents)):
-        amps = solver.modal_amplitudes(block[:, col], inc)
-        samples.append(
-            NetworkSample(
-                amplitudes={c: amps.outgoing[s].copy() for c, s in stub_of_channel.items()},
-                incident=incident,
-                lam=lam,
-                eps=eps,
-                flux=flux_residual(amps, geom),
-                geometry=geom,
-            )
-        )
-    return samples
+def solve_network(g: MetricGraph, lam: float, eps: float) -> np.ndarray:
+    """Scattering matrix of the full rescaled thin network (widths fixed,
+    finite channel lengths divided by eps), solved as one junction whose
+    stubs are the infinite channels: rows and columns follow the graph's
+    global mode ordering, directly comparable with the graph model's
+    network scattering matrix."""
+    return _scatter(network_geometry(g, eps), lam)[0]
 
 
 def duct_geometry(width: float, stub_length: float, h: float) -> PlanarGeometry:

@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 
+from fiberwave import helmholtz_oracle
 from fiberwave.cross_section import Interval
 from fiberwave.graph_model import Channel, MetricGraph, Vertex
 from fiberwave.graph_solver import (
@@ -28,7 +29,6 @@ from fiberwave.helmholtz_oracle import (
     duct_geometry,
     flux_residual,
     junction_matrix,
-    solve_junction_scattering,
     solve_network,
 )
 from fiberwave.spectrum_tools import sweep, threshold_extrapolate
@@ -135,25 +135,23 @@ def test_criterion_4_spider_consistency():
     _report(4, f"boundary values: |S0-(I+T)| <= {worst0:.2e}, |S1-(i/eps)D(T-I)| <= {worst1:.2e}")
 
 
-def test_criterion_5_oracle_self_checks():
+def test_criterion_5_oracle_self_checks(monkeypatch):
     t0 = time.monotonic()
     lam = 2.0
     w = math.pi
 
     duct_err = {}
     for denom in (32, 64):
-        _, amps = solve_junction_scattering(duct_geometry(w, 2 * w, math.pi / denom), lam, (0, 0))
-        duct_err[denom] = abs(amps.outgoing[1][0] - 1.0)
-        assert abs(amps.outgoing[0][0]) <= 1e-2
+        t_duct = junction_matrix(duct_geometry(w, 2 * w, math.pi / denom), lam).matrix
+        duct_err[denom] = abs(t_duct[1, 0] - 1.0)
+        assert abs(t_duct[0, 0]) <= 1e-2
     assert duct_err[64] <= 1e-2
     ratio_t = duct_err[32] / duct_err[64]
     assert 3.0 <= ratio_t <= 5.0
 
     flux = {}
     for denom in (16, 32, 64):
-        g = step_geometry(math.pi / denom)
-        _, amps = solve_junction_scattering(g, lam, (0, 0))
-        flux[denom] = abs(flux_residual(amps, g))
+        flux[denom] = abs(flux_residual(junction_matrix(step_geometry(math.pi / denom), lam))[0])
     r1, r2 = flux[16] / flux[32], flux[32] / flux[64]
     assert 3.0 <= r1 <= 5.0 and 3.0 <= r2 <= 5.0
 
@@ -161,7 +159,8 @@ def test_criterion_5_oracle_self_checks():
     long_stub = junction_matrix(cross_geometry(w, 4 * w, math.pi / 32), lam).matrix
     margin = float(np.max(np.abs(long_stub - base)))
     assert margin <= 1e-6
-    rich = junction_matrix(cross_geometry(w, 2 * w, math.pi / 32), lam, n_ev=16).matrix
+    monkeypatch.setattr(helmholtz_oracle, "DEFAULT_N_EVANESCENT", 16)
+    rich = junction_matrix(cross_geometry(w, 2 * w, math.pi / 32), lam).matrix
     sens = float(np.max(np.abs(rich - base)))
     assert sens <= 1e-8
 
@@ -179,17 +178,15 @@ def test_criterion_6_graph_vs_pde_convergence():
     errs = {}
     for eps in (1.0, 0.5, 0.25):
         ns = solve_scattering(g, SolveRequest(lam, eps))
-        sample = solve_network(g, lam, eps, [incident])[0]
+        t_oracle = solve_network(g, lam, eps)
         col = ns.ordering.index(*incident)
-        errs[eps] = max(
-            abs(ns.t[ns.ordering.index(c, 0), col] - sample.amplitudes[c][0])
-            for c in (1, 2, 3, 4, 5, 6)
-        )
+        rows = [ns.ordering.index(c, 0) for c in (1, 2, 3, 4, 5, 6)]
+        errs[eps] = max(abs(ns.t[r, col] - t_oracle[r, col]) for r in rows)
     # measured discretization floor: oracle amplitudes at h vs h/2, eps = 1/4
     g2 = two_cross_network(length, h / 2)
-    s1 = solve_network(g, lam, 0.25, [incident])[0]
-    s2 = solve_network(g2, lam, 0.25, [incident])[0]
-    floor = max(abs(s1.amplitudes[c][0] - s2.amplitudes[c][0]) for c in (1, 2, 3, 4, 5, 6))
+    t1 = solve_network(g, lam, 0.25)
+    t2 = solve_network(g2, lam, 0.25)
+    floor = max(abs(t1[r, col] - t2[r, col]) for r in rows)
 
     assert errs[1.0] >= errs[0.5] - floor
     assert errs[0.5] >= errs[0.25] - floor

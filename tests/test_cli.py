@@ -296,8 +296,6 @@ def test_network_validate_command(tmp_path, capsys):
             "2",
             "--eps",
             "1,0.5",
-            "--incident",
-            "3,0",
             "--out",
             str(out_csv),
         ]
@@ -305,7 +303,7 @@ def test_network_validate_command(tmp_path, capsys):
     assert rc == EXIT_OK
     lines = out_csv.read_text().splitlines()
     assert lines[0].startswith("eps,channel,mode,")
-    assert len(lines) == 1 + 2 * 6  # two eps, six infinite channels
+    assert len(lines) == 1 + 2 * 36  # two eps, six incident columns, six infinite channels
     diffs = [float(l.split(",")[-1]) for l in lines[1:]]
     assert max(diffs) < 0.1
 
@@ -351,6 +349,50 @@ def test_non_finite_lambda_and_bad_eps_exit_numeric(tmp_path, capsys, command, b
     err = capsys.readouterr().err
     assert rc == EXIT_NUMERIC
     assert f"got {bad}" in err
+
+
+def one_vertex_graph_json(tmp_path, junction):
+    channel = {"id": 1, "length": "inf", "cross_section": {"shape": "interval", "dims": [math.pi]}, "start": 1, "end": None}
+    vertex = {"id": 1, "ends": [[1, "start"]], "junction": junction}
+    return write_json(tmp_path / "g.json", {"channels": [channel], "vertices": [vertex]})
+
+
+def not_utf8_graph(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"channels": [], "vertices": [], "note": "\u00e9"}'.encode("latin-1"))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (lambda p: ["junction", "--geometry", write_json(p / "geo.json", [1, 2]), "--lambda", "2"], "[1, 2]"),
+        (
+            lambda p: [
+                "junction", "--geometry", write_json(p / "geo.json", geometry_to_json(cross_geometry(math.pi, 2 * math.pi, math.pi / 16))),
+                "--lambda", "2", "--h", "nan",
+            ],
+            "got nan",
+        ),
+        (lambda p: ["solve", "--graph", one_vertex_graph_json(p, "dirichlet"), "--lambda", "2", "--eps", "0.1"], "'dirichlet'"),
+        (
+            lambda p: [
+                "solve", "--graph", one_vertex_graph_json(p, {"kind": "from_oracle", "geometry": [0.0, 1.0]}),
+                "--lambda", "2", "--eps", "0.1",
+            ],
+            "[0.0, 1.0]",
+        ),
+        (lambda p: ["solve", "--graph", not_utf8_graph(p), "--lambda", "2", "--eps", "0.1"], "0xe9"),
+        (lambda p: ["network-validate", "--graph", edge_graph_json(p), "--lambda", "2", "--eps", "1,,0.5"], "'1,,0.5'"),
+        (lambda p: ["network-validate", "--graph", edge_graph_json(p), "--lambda", "2", "--eps", "abc"], "'abc'"),
+    ],
+    ids=["geometry-array", "grid-spacing-nan", "junction-string", "oracle-geometry-list", "graph-not-utf8", "eps-empty-item", "eps-not-number"],
+)
+def test_malformed_input_exits_invalid(tmp_path, capsys, argv, bad):
+    rc = main(argv(tmp_path))
+    err = capsys.readouterr().err
+    assert rc == EXIT_INVALID
+    assert bad in err
 
 
 def test_exit_codes_parse_and_io(tmp_path, capsys):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from fiberwave import cross_section
 from fiberwave.cross_section import (
     Disk,
     Interval,
@@ -216,3 +217,28 @@ def test_mode_table_thresholds_ascending():
         t = mode_table(shape, 10).thresholds
         assert all(a <= b for a, b in zip(t, t[1:]))
         assert all(v > 0 for v in t)
+
+
+@pytest.mark.parametrize(
+    "helper, key",
+    [
+        (cross_section._interval_modes, lambda i: (1.0 + 1e-3 * i, 3)),
+        (cross_section._rectangle_modes, lambda i: (1.0 + 1e-3 * i, 2.0, 3)),
+        (cross_section._bessel_zero, lambda i: (i, 1)),
+        (cross_section._disk_modes, lambda i: (1.0 + 1e-3 * i, 3)),
+    ],
+    ids=["interval", "rectangle", "bessel_zero", "disk"],
+)
+def test_spectrum_caches_are_bounded(helper, key):
+    bound = cross_section.SPECTRUM_CACHE_SIZE
+    assert helper.cache_info().maxsize == bound
+    helper.cache_clear()
+    first = helper(*key(0))
+    for i in range(1, bound + 1):
+        helper(*key(i))
+    info = helper.cache_info()
+    assert info.currsize == bound
+    # the first key was evicted: asking again is a miss that recomputes it
+    assert helper(*key(0)) == first
+    assert helper.cache_info().misses == info.misses + 1
+    assert helper.cache_info().currsize == bound

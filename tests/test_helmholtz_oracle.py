@@ -27,7 +27,6 @@ from fiberwave.helmholtz_oracle import (
     flux_residual,
     junction_matrix,
     network_geometry,
-    solve_junction_scattering,
     solve_network,
 )
 
@@ -53,10 +52,9 @@ def step_geometry(h: float) -> PlanarGeometry:
 def test_duct_transmission_accuracy_and_rate():
     errs = {}
     for denom in (32, 64):
-        geom = duct_geometry(W, 2 * W, math.pi / denom)
-        _, amps = solve_junction_scattering(geom, LAM, (0, 0))
-        t = amps.outgoing[1][0]
-        r = amps.outgoing[0][0]
+        t_duct = junction_matrix(duct_geometry(W, 2 * W, math.pi / denom), LAM).matrix
+        t = t_duct[1, 0]
+        r = t_duct[0, 0]
         errs[denom] = abs(t - 1.0)
         assert abs(r) <= 1e-2
     assert errs[64] <= 1e-2
@@ -66,20 +64,10 @@ def test_duct_transmission_accuracy_and_rate():
 def test_duct_richardson_extrapolation_rate():
     ts = {}
     for denom in (32, 64, 128):
-        geom = duct_geometry(W, 2 * W, math.pi / denom)
-        _, amps = solve_junction_scattering(geom, LAM, (0, 0))
-        ts[denom] = amps.outgoing[1][0]
+        ts[denom] = junction_matrix(duct_geometry(W, 2 * W, math.pi / denom), LAM).matrix[1, 0]
     rich = ts[128] + (ts[128] - ts[64]) / 3.0
     e1, e2 = abs(ts[32] - rich), abs(ts[64] - rich)
     assert 3.0 <= e1 / e2 <= 5.0
-
-
-def test_no_propagating_modes_below_bottom():
-    geom = duct_geometry(W, 2 * W, math.pi / 16)
-    field, amps = solve_junction_scattering(geom, 0.5, None)
-    assert all(len(v) == 0 for v in amps.outgoing.values())
-    assert np.all(field.values == 0)
-    assert flux_residual(amps, geom) == 0.0
 
 
 def test_solver_linearity():
@@ -121,9 +109,7 @@ def test_junction_unitarity_h2_on_mixed_widths():
 def test_flux_residual_h2_rate_mixed_widths():
     fluxes = {}
     for denom in (16, 32, 64):
-        g = step_geometry(math.pi / denom)
-        _, amps = solve_junction_scattering(g, LAM, (0, 0))
-        fluxes[denom] = abs(flux_residual(amps, g))
+        fluxes[denom] = abs(flux_residual(junction_matrix(step_geometry(math.pi / denom), LAM))[0])
     assert 3.0 <= fluxes[16] / fluxes[32] <= 5.0
     assert 3.0 <= fluxes[32] / fluxes[64] <= 5.0
 
@@ -139,9 +125,11 @@ def test_evanescent_margin_insensitive():
     assert np.max(np.abs(t2 - t1)) <= 1e-6
 
 
-def test_retained_evanescent_insensitive():
-    t8 = junction_matrix(cross_geometry(W, 2 * W, math.pi / 32), LAM, n_ev=8).matrix
-    t16 = junction_matrix(cross_geometry(W, 2 * W, math.pi / 32), LAM, n_ev=16).matrix
+def test_retained_evanescent_insensitive(monkeypatch):
+    assert helmholtz_oracle.DEFAULT_N_EVANESCENT == 8
+    t8 = junction_matrix(cross_geometry(W, 2 * W, math.pi / 32), LAM).matrix
+    monkeypatch.setattr(helmholtz_oracle, "DEFAULT_N_EVANESCENT", 16)
+    t16 = junction_matrix(cross_geometry(W, 2 * W, math.pi / 32), LAM).matrix
     assert np.max(np.abs(t16 - t8)) <= 1e-8
 
 
@@ -159,14 +147,15 @@ def test_junction_matrix_without_propagating_modes():
     assert js.matrix.shape == (0, 0)
     assert js.mode_counts == (0, 0, 0, 0)
     assert js.entries == []
+    assert flux_residual(js).shape == (0,)
 
 
 def test_junction_matrix_columns_match_single_incident_solves():
     geom = cross_geometry(W, 2 * W, math.pi / 32)
     js = junction_matrix(geom, LAM)
     for col, inc in enumerate(js.entries):
-        _, amps = solve_junction_scattering(geom, LAM, inc)
-        column = np.concatenate([amps.outgoing[s] for s in range(len(js.mode_counts))])
+        solver = _HelmholtzSolver(geom, LAM)
+        column = solver.extract(solver.solve([inc]), [inc])[:, 0]
         assert np.max(np.abs(js.matrix[:, col] - column)) <= 1e-13
 
 
@@ -176,7 +165,7 @@ def test_junction_matrix_columns_match_single_incident_solves():
 
 def test_geometry_misaligned():
     with pytest.raises(GeometryInvalid):
-        solve_junction_scattering(duct_geometry(1.0, 2.37, 0.1), LAM, None)
+        junction_matrix(duct_geometry(1.0, 2.37, 0.1), LAM)
 
 
 def test_geometry_short_stub():
@@ -189,7 +178,7 @@ def test_geometry_short_stub():
         h=math.pi / 16,
     )
     with pytest.raises(GeometryInvalid):
-        solve_junction_scattering(geom, LAM, None)
+        junction_matrix(geom, LAM)
 
 
 def test_geometry_overlap():
@@ -199,18 +188,19 @@ def test_geometry_overlap():
         h=math.pi / 16,
     )
     with pytest.raises(GeometryInvalid):
-        solve_junction_scattering(geom, LAM, (0, 0))
+        junction_matrix(geom, LAM)
 
 
 def test_grid_too_coarse():
     geom = duct_geometry(10.0, 20.0, 1.0)  # h = 1 > 2 pi / (10 sqrt 2)
     with pytest.raises(GridTooCoarse):
-        solve_junction_scattering(geom, LAM, (0, 0))
+        junction_matrix(geom, LAM)
 
 
-def test_grid_budget():
+def test_grid_budget(monkeypatch):
+    monkeypatch.setattr(helmholtz_oracle, "DEFAULT_NODE_BUDGET", 100)
     with pytest.raises(GridBudgetExceeded):
-        solve_junction_scattering(duct_geometry(W, 2 * W, math.pi / 64), LAM, (0, 0), node_budget=100)
+        junction_matrix(duct_geometry(W, 2 * W, math.pi / 64), LAM)
 
 
 def test_singular_factorization_is_non_converged(monkeypatch):
@@ -243,8 +233,7 @@ def duct_network(length: float, h: float) -> MetricGraph:
 
 def test_network_layout_straight_duct():
     g = duct_network(math.pi, math.pi / 16)
-    geom, stub_of_channel = network_geometry(g, 1.0)
-    assert set(stub_of_channel) == {1, 3}
+    geom = network_geometry(g, 1.0)
     assert len(geom.stubs) == 2 and len(geom.cores) == 1
 
 
@@ -253,11 +242,10 @@ def test_network_duct_matches_graph_fabry_perot():
     must transmit e^{i k l / eps} like the graph's pass-through line."""
     length, eps, h = math.pi, 0.5, math.pi / 32
     g = duct_network(length, h)
-    sample = solve_network(g, LAM, eps, [(1, 0)])[0]
     ns = solve_scattering(g, SolveRequest(LAM, eps))
-    col = ns.ordering.index(1, 0)
-    t_graph = ns.t[ns.ordering.index(3, 0), col]
-    t_oracle = sample.amplitudes[3][0]
+    row, col = ns.ordering.index(3, 0), ns.ordering.index(1, 0)
+    t_graph = ns.t[row, col]
+    t_oracle = solve_network(g, LAM, eps)[row, col]
     k = 1.0
     t_exact = complex(math.cos(k * length / eps), math.sin(k * length / eps))
     assert abs(t_oracle - t_graph) <= 2e-2
@@ -293,17 +281,16 @@ def test_network_elbow_pair_error_non_increasing_in_eps():
     errs = {}
     for eps in (1.0, 0.5, 0.25):
         g = elbow_pair_network(math.pi / 2, h)
-        sample = solve_network(g, LAM, eps, [(1, 0)])[0]
+        t_oracle = solve_network(g, LAM, eps)
         ns = solve_scattering(g, SolveRequest(LAM, eps))
         col = ns.ordering.index(1, 0)
-        errs[eps] = max(
-            abs(ns.t[ns.ordering.index(c, 0), col] - sample.amplitudes[c][0]) for c in (1, 3)
-        )
+        rows = (ns.ordering.index(1, 0), ns.ordering.index(3, 0))
+        errs[eps] = max(abs(ns.t[r, col] - t_oracle[r, col]) for r in rows)
     # h^2 floor from grid refinement at the smallest eps
     g64 = elbow_pair_network(math.pi / 2, math.pi / 64)
-    s32 = solve_network(elbow_pair_network(math.pi / 2, h), LAM, 0.25, [(1, 0)])[0]
-    s64 = solve_network(g64, LAM, 0.25, [(1, 0)])[0]
-    floor = max(abs(s32.amplitudes[c][0] - s64.amplitudes[c][0]) for c in (1, 3))
+    t32 = solve_network(elbow_pair_network(math.pi / 2, h), LAM, 0.25)
+    t64 = solve_network(g64, LAM, 0.25)
+    floor = max(abs(t32[r, col] - t64[r, col]) for r in rows)
     assert errs[1.0] >= errs[0.5] - floor
     assert errs[0.5] >= errs[0.25] - floor
 
@@ -328,8 +315,12 @@ def test_network_cycle_mismatch_rejected():
 
 
 def test_network_block_solve_matches_column_solves(monkeypatch):
+    """The network is solved as one junction: one factorization, the same
+    matrix as junction_matrix on its geometry, and each column equal to a
+    single-incident solve."""
     g = two_cross_network(math.pi / 2, math.pi / 16)
-    columns = [(c, 0) for c in range(1, 7)]
+    ns = solve_scattering(g, SolveRequest(LAM, 0.5))
+    assert list(ns.ordering.entries) == [(c, 0) for c in range(1, 7)]
     factored = []
     real_splu = helmholtz_oracle.splu
 
@@ -338,26 +329,14 @@ def test_network_block_solve_matches_column_solves(monkeypatch):
         return real_splu(mat)
 
     monkeypatch.setattr(helmholtz_oracle, "splu", counting_splu)
-    block = solve_network(g, LAM, 0.5, columns)
+    t = solve_network(g, LAM, 0.5)
     assert len(factored) == 1
-    assert [s.incident for s in block] == columns
-    for inc, sample in zip(columns, block):
-        single = solve_network(g, LAM, 0.5, [inc])[0]
-        assert sample.amplitudes.keys() == single.amplitudes.keys()
-        for cid, amps in single.amplitudes.items():
-            assert np.max(np.abs(sample.amplitudes[cid] - amps)) <= 1e-13
-        assert abs(sample.flux - single.flux) <= 1e-13
-    assert len(factored) == 1 + len(columns)
-
-
-def test_network_incidents_validated_before_factoring(monkeypatch):
-    g = two_cross_network(math.pi / 2, math.pi / 16)
-
-    def no_splu(mat):
-        raise AssertionError("factored before every incident was validated")
-
-    monkeypatch.setattr(helmholtz_oracle, "splu", no_splu)
-    with pytest.raises(ValueError):
-        solve_network(g, LAM, 0.5, [(1, 0), (7, 0)])  # channel 7 is the finite link
-    with pytest.raises(ValueError):
-        solve_network(g, LAM, 0.5, [(1, 0), (4, 1)])  # one propagating mode at LAM
+    geom = network_geometry(g, 0.5)
+    js = junction_matrix(geom, LAM)
+    assert np.array_equal(t, js.matrix)
+    assert js.entries == [(s, 0) for s in range(6)]  # stub s serves ns.ordering.entries[s]
+    for col, inc in enumerate(js.entries):
+        solver = _HelmholtzSolver(geom, LAM)
+        column = solver.extract(solver.solve([inc]), [inc])[:, 0]
+        assert np.max(np.abs(t[:, col] - column)) <= 1e-13
+    assert len(factored) == 2 + len(js.entries)
