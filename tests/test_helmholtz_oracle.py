@@ -142,12 +142,23 @@ def test_junction_metadata():
     assert js.entries == [(0, 0), (1, 0), (2, 0), (3, 0)]
 
 
+def test_no_propagating_modes_below_bottom():
+    geom = duct_geometry(W, 2 * W, math.pi / 16)
+    solver = _HelmholtzSolver(geom, 0.5)
+    assert all(sd.n_prop == 0 for sd in solver.grid.stubs)
+    u = solver.solve([])
+    assert u.shape == (solver.grid.n_unknowns, 0)
+    assert solver.extract(u, []).shape == (0, 0)
+    js = junction_matrix(geom, 0.5)
+    assert js.matrix.shape == (0, 0)
+    assert flux_residual(js).shape == (0,)
+
+
 def test_junction_matrix_without_propagating_modes():
     js = junction_matrix(cross_geometry(W, 2 * W, math.pi / 16), 0.5)
     assert js.matrix.shape == (0, 0)
     assert js.mode_counts == (0, 0, 0, 0)
     assert js.entries == []
-    assert flux_residual(js).shape == (0,)
 
 
 def test_junction_matrix_columns_match_single_incident_solves():
