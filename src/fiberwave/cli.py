@@ -64,10 +64,6 @@ EXIT_IO = 4
 # JSON (de)serialization
 
 
-def _complex_out(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def _complex_in(v) -> complex:
     if isinstance(v, (int, float)):
         return complex(v)
@@ -77,8 +73,9 @@ def _complex_in(v) -> complex:
 
 
 def _matrix_out(m) -> list:
+    """Rows of [re, im] pairs, read off the complex array's float64 view."""
     arr = np.asarray(m, dtype=complex)
-    return [[_complex_out(z) for z in row] for row in arr]
+    return np.ascontiguousarray(arr).view(np.float64).reshape(*arr.shape, 2).tolist()
 
 
 def _matrix_in(rows) -> tuple[tuple[complex, ...], ...]:
@@ -329,6 +326,9 @@ def _cmd_network_validate(args) -> int:
         eps_list = [float(e) for e in args.eps.split(",")]
     except ValueError as exc:
         raise ParseError(f"--eps expects comma-separated numbers, got {args.eps!r}") from exc
+    repeated = sorted({eps for eps in eps_list if eps_list.count(eps) > 1})
+    if repeated:
+        raise ParseError(f"--eps lists {', '.join(map(repr, repeated))} more than once in {args.eps!r}")
     lines = ["eps,channel,mode,t_graph_re,t_graph_im,t_oracle_re,t_oracle_im,abs_diff"]
     worst_by_eps = {}
     skipped = []

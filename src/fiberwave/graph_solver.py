@@ -25,7 +25,6 @@ unitary and symmetric whenever every junction matrix has that property.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,7 +32,11 @@ from itertools import accumulate
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+import scipy.sparse as sp
+
+# bound under this module's own name: perfbench/tracing.py times the
+# factorizations made here through it
+from scipy.sparse.linalg import splu as lu_factor
 
 from . import cross_section as cs
 from .errors import (
@@ -142,9 +145,10 @@ class NetworkScattering:
 
 @dataclass
 class LinearSystem:
-    """Square system A x = rhs[:, c], one column per incident wave."""
+    """Square system A x = rhs[:, c], one column per incident wave; A is
+    sparse (CSC) and rhs dense."""
 
-    matrix: np.ndarray
+    matrix: sp.csc_matrix
     rhs: np.ndarray
     unknowns: list[tuple[int, str, int]]  # (channel id, "alpha"|"beta", mode)
     ordering: GlobalModeOrdering
@@ -274,8 +278,9 @@ class _SolvePlan:
     Rows follow the vertices and their local entries.  Each row pairs the
     amplitude leaving the vertex (alpha at a start end, beta at a far end)
     with the one arriving (the other), and a far-end row carries the phase
-    exp(i k length / eps).  Columns are the unknowns followed by the
-    incident waves, one per entry of the mode ordering.
+    exp(i k length / eps).  Columns are the unknowns, which form the CSC
+    pattern of the matrix, followed by the incident waves, which form the
+    dense right-hand side.
     """
 
     entries: tuple[tuple[tuple[int, str, int], ...], ...]  # per vertex, as resolved
@@ -285,7 +290,11 @@ class _SolvePlan:
     end_lengths: np.ndarray  # that channel's length, extended precision
     alpha_rows: np.ndarray  # row of each alpha unknown's start end (its wavenumber)
     block_src: np.ndarray  # row whose incoming phase scales each junction-matrix entry
-    index: np.ndarray  # flat positions: junction-matrix entries, then one outgoing entry per row
+    indptr: np.ndarray  # CSC column pointers of the matrix
+    indices: np.ndarray  # CSC row indices of the matrix
+    # per value (junction-matrix entries, then one outgoing entry per row):
+    # its CSC data slot, or nnz + its flat position in the right-hand side
+    slots: np.ndarray
     channel_slices: tuple[tuple[int, slice, slice], ...]  # (channel id, alpha columns, beta columns)
     ordering_alpha: np.ndarray  # alpha column of each entry of the mode ordering
 
@@ -302,7 +311,6 @@ def _build_plan(g: MetricGraph, entries: tuple[tuple[tuple[int, str, int], ...],
     groups += [(cid, "beta") for cid in g.infinite_channel_ids]
     first = dict(zip(groups, accumulate((counts[cid] for cid, _kind in groups), initial=0)))
     n_unknowns = len(unknowns)
-    width = n_unknowns + ordering.M
 
     out_cols: list[int] = []
     in_cols: list[int] = []
@@ -331,6 +339,18 @@ def _build_plan(g: MetricGraph, entries: tuple[tuple[tuple[int, str, int], ...],
     vertex_rows = np.split(np.arange(n_unknowns), np.cumsum([len(e) for e in entries])[:-1])
     block_rows = np.concatenate([np.repeat(rows, len(rows)) for rows in vertex_rows])
     block_src = np.concatenate([np.tile(rows, len(rows)) for rows in vertex_rows])
+    rows = np.concatenate((block_rows, np.arange(n_unknowns)))
+    cols = np.concatenate((np.asarray(in_cols, dtype=np.intp)[block_src], np.asarray(out_cols, dtype=np.intp)))
+
+    # Matrix entries sorted column-major; entries on one position (a loop
+    # channel puts two rows of one vertex on one column) share a slot.
+    in_matrix = cols < n_unknowns
+    keys, first_of_key, slots = np.unique(
+        cols[in_matrix] * n_unknowns + rows[in_matrix], return_index=True, return_inverse=True
+    )
+    all_slots = np.empty(len(rows), dtype=np.intp)
+    all_slots[in_matrix] = slots
+    all_slots[~in_matrix] = len(keys) + rows[~in_matrix] * ordering.M + cols[~in_matrix] - n_unknowns
 
     def span(cid: int, kind: str) -> slice:
         return slice(first[cid, kind], first[cid, kind] + counts[cid])
@@ -343,10 +363,10 @@ def _build_plan(g: MetricGraph, entries: tuple[tuple[tuple[int, str, int], ...],
         end_lengths=np.asarray(end_lengths, dtype=np.longdouble),
         alpha_rows=alpha_rows,
         block_src=block_src,
-        index=np.concatenate(
-            (block_rows * width + np.asarray(in_cols, dtype=np.intp)[block_src],
-             np.arange(n_unknowns) * width + np.asarray(out_cols, dtype=np.intp))
-        ),
+        # int32, the index type scipy keeps, so each lambda's matrix views these
+        indptr=np.searchsorted(keys, np.arange(n_unknowns + 1) * n_unknowns).astype(np.int32),
+        indices=rows[in_matrix][first_of_key].astype(np.int32),
+        slots=all_slots,
         channel_slices=tuple((chan.id, span(chan.id, "alpha"), span(chan.id, "beta")) for chan in g.channels),
         ordering_alpha=np.asarray([first[cid, "alpha"] + n for cid, n in ordering.entries], dtype=np.intp),
     )
@@ -364,9 +384,10 @@ def assemble_system(g: MetricGraph, req: SolveRequest) -> LinearSystem:
 
         2i (outgoing - T_v incoming) = 0,
 
-    which is scattered into the matrix through the graph's solve plan.  The
-    plan is built once per graph, after one validate_graph call, and again
-    only when some channel's propagating-mode count changes.
+    which is scattered through the graph's solve plan into the data of a
+    CSC matrix and into the dense right-hand side.  The plan, with the CSC
+    pattern, is built once per graph, after one validate_graph call, and
+    again only when some channel's propagating-mode count changes.
     """
     # The plan lives on the (immutable) graph instance.
     plan: Optional[_SolvePlan] = getattr(g, "_solve_plan", None)
@@ -390,13 +411,13 @@ def assemble_system(g: MetricGraph, req: SolveRequest) -> LinearSystem:
     in_phase[plan.end_rows] = propagation_phase(k_rows[plan.end_rows], plan.end_lengths, eps)
     t_flat = np.concatenate([res.t_matrix.ravel() for res in resolved])
     values = 2j * np.concatenate((-t_flat * in_phase[plan.block_src], in_phase.conj()))
-    n = len(plan.unknowns)
-    full = np.zeros((n, n + plan.ordering.M), dtype=complex)
-    # accumulate: a loop channel puts two rows of one vertex on one column
-    np.add.at(full.reshape(-1), plan.index, values)
+    n, nnz = len(plan.unknowns), len(plan.indices)
+    filled = np.zeros(nnz + n * plan.ordering.M, dtype=complex)
+    # accumulate: a loop channel puts two values on one slot
+    np.add.at(filled, plan.slots, values)
     return LinearSystem(
-        matrix=full[:, :n],
-        rhs=-full[:, n:],
+        matrix=sp.csc_matrix((filled[:nnz], plan.indices, plan.indptr), shape=(n, n)),
+        rhs=-filled[nnz:].reshape(n, plan.ordering.M),
         unknowns=list(plan.unknowns),
         ordering=plan.ordering,
         d_diag=k_rows[plan.alpha_rows][plan.ordering_alpha],
@@ -406,22 +427,30 @@ def assemble_system(g: MetricGraph, req: SolveRequest) -> LinearSystem:
     )
 
 
-def _estimate_rcond(a: np.ndarray, lu_piv, rng: np.random.Generator) -> float:
-    """Estimate of sigma_min / sigma_max of `a`, its 2-norm reciprocal
-    condition number: 12 steps of power iteration on A^H A for sigma_max
-    and 30 steps of inverse power iteration through the LU factors for
-    sigma_min.  It makes no copy of `a` or of the factors: A^H y is formed
-    as conj(conj(y) @ A) and the triangular solves call LAPACK getrs
-    directly.  An exactly singular factorization gives 0."""
+def lu_solve(lu, b: np.ndarray) -> np.ndarray:
+    """Solve with a SuperLU factor; every solve and refinement step goes
+    through this name, which perfbench/tracing.py times."""
+    return lu.solve(b)
+
+
+def _estimate_rcond(a: sp.csc_matrix, lu, rng: np.random.Generator) -> float:
+    """Estimate of sigma_min / sigma_max of the sparse matrix `a`, its 2-norm
+    reciprocal condition number: 12 steps of power iteration on A^H A for
+    sigma_max, through products with `a` and its transpose, and 30 steps of
+    inverse power iteration for sigma_min, each a solve with A^H and then
+    with A through the SuperLU factor `lu` of `a`.  The factor must be
+    complex: a real one rejects the complex iterate.  A pivot small enough
+    to make the iterate non-finite gives 0."""
     n = a.shape[0]
     if n == 0:
         return 1.0
     x = rng.normal(size=n) + 1j * rng.normal(size=n)
     x /= np.linalg.norm(x)
+    a_t = a.T
     smax = 0.0
     for _ in range(12):
         y = a @ x
-        x = np.conj(np.conj(y) @ a)
+        x = np.conj(a_t @ np.conj(y))
         nx = np.linalg.norm(x)
         if nx == 0:
             break
@@ -429,15 +458,9 @@ def _estimate_rcond(a: np.ndarray, lu_piv, rng: np.random.Generator) -> float:
         x /= nx
     x = rng.normal(size=n) + 1j * rng.normal(size=n)
     x /= np.linalg.norm(x)
-    lu, piv = lu_piv
-    # chosen from both: a real factor alone selects the real routine, which
-    # would drop the imaginary part of the iterate
-    (getrs,) = get_lapack_funcs(("getrs",), (lu, x))
     inv_smin = 0.0
     for _ in range(30):
-        # a zero pivot makes y infinite; the guard below returns 0
-        y, _info = getrs(lu, piv, x, trans=2)
-        x, _info = getrs(lu, piv, y, trans=0)
+        x = lu.solve(lu.solve(x, trans="H"))
         nx = np.linalg.norm(x)
         if not np.isfinite(nx) or nx == 0:
             return 0.0
@@ -465,32 +488,24 @@ def solve_scattering(
     `allow_flagged` is set, in which case the flagged result is returned.
     """
     system = assemble_system(g, req)
-    m = system.ordering.M
-    n = system.matrix.shape[0]
+    a, b = system.matrix, system.rhs
 
-    rng = np.random.default_rng(0x5EED)
-    ok = True
-    if n:
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # scipy warns on exactly singular LU
-            try:
-                lu_piv = lu_factor(system.matrix)
-            except np.linalg.LinAlgError:
-                ok = False
-            else:
-                x = lu_solve(lu_piv, system.rhs)
-                # one step of iterative refinement; an exactly singular LU
-                # leaves x non-finite, which the check below catches
-                resid = system.rhs - system.matrix @ x
-                x += lu_solve(lu_piv, resid, check_finite=False)
-                ok = bool(np.all(np.isfinite(x)))
-            rcond = _estimate_rcond(system.matrix, lu_piv, rng) if ok else 0.0
+    x, rcond = np.full(b.shape, np.nan, dtype=complex), 0.0
+    if not a.shape[0]:
+        x, rcond = b.copy(), 1.0
     else:
-        x = np.zeros((0, m), dtype=complex)
-        rcond = 1.0
-    if not ok:
-        x = np.full((n, m), np.nan, dtype=complex)
-        rcond = 0.0
+        with np.errstate(all="ignore"):
+            try:
+                lu = lu_factor(a)
+            except RuntimeError:  # SuperLU: the matrix is exactly singular
+                pass
+            else:
+                y = lu_solve(lu, b)
+                # one step of iterative refinement; a tiny pivot leaves y
+                # non-finite, which is reported like an exactly singular LU
+                y += lu_solve(lu, b - a @ y)
+                if np.all(np.isfinite(y)):
+                    x, rcond = y, _estimate_rcond(a, lu, np.random.default_rng(0x5EED))
 
     certified = bool(rcond >= rcond_tol)
     if not certified and not allow_flagged:

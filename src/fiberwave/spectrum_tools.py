@@ -14,12 +14,14 @@ stays above the flag threshold and lambda is clear of thresholds.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor
+
+# bound under this module's own name, not imported from graph_solver:
+# perfbench/tracing.py times the dip-refinement factorizations through it
+from scipy.sparse.linalg import splu as lu_factor
 
 from . import cross_section as cs
 from .errors import (
@@ -108,15 +110,13 @@ def _refine_dip(f, a: float, b: float) -> tuple[float, float]:
 
 
 def _rcond_at(g: MetricGraph, lam: float, eps: float) -> float:
-    rng = np.random.default_rng(0x5EED)
     system = assemble_system(g, SolveRequest(lam=lam, eps=eps))
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            lu_piv = lu_factor(system.matrix)
-        except np.linalg.LinAlgError:
-            return 0.0
-        return _estimate_rcond(system.matrix, lu_piv, rng)
+    try:
+        lu = lu_factor(system.matrix)
+    except RuntimeError:  # SuperLU: the matrix is exactly singular
+        return 0.0
+    with np.errstate(all="ignore"):
+        return _estimate_rcond(system.matrix, lu, np.random.default_rng(0x5EED))
 
 
 def sweep(

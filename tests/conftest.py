@@ -178,6 +178,30 @@ def random_network(rng: np.random.Generator, lam: float = 5.0) -> MetricGraph:
     return MetricGraph(channels=tuple(channels), vertices=tuple(vertices))
 
 
+def lattice_network(rng: np.random.Generator, side: int = 4, lam: float = 5.0) -> MetricGraph:
+    """side x side grid of random admissible matrix junctions joined by
+    finite channels of random width and length, with a lead on every vertex
+    of the left and right columns."""
+    vid = {(r, c): r * side + c + 1 for r in range(side) for c in range(side)}
+    links = [(vid[r, c], vid[r, c + 1]) for r in range(side) for c in range(side - 1)]
+    links += [(vid[r, c], vid[r + 1, c]) for r in range(side - 1) for c in range(side)]
+    leads = [vid[r, 0] for r in range(side)] + [vid[r, side - 1] for r in range(side)]
+    channels: list[Channel] = []
+    ends_of: dict[int, list[tuple[int, str]]] = {v: [] for v in vid.values()}
+    for cid, (a, b) in enumerate(links + [(v, None) for v in leads], start=1):
+        shape = Interval(_WIDTHS[rng.integers(0, len(_WIDTHS))])
+        length = math.inf if b is None else float(rng.uniform(0.8, 1.2))
+        channels.append(Channel(cid, length, shape, a, b))
+        ends_of[a].append((cid, "start"))
+        if b is not None:
+            ends_of[b].append((cid, "end"))
+    vertices = []
+    for v, ends in ends_of.items():
+        t = admissible_junction(_vertex_k(channels, ends, lam), rng)
+        vertices.append(Vertex(v, tuple(ends), MatrixJunction(lam, tuple(map(tuple, t)))))
+    return MetricGraph(channels=tuple(channels), vertices=tuple(vertices))
+
+
 # ---------------------------------------------------------------------------
 # high-precision 1-D oracles (transfer-matrix style, mpmath)
 

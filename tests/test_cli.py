@@ -13,6 +13,7 @@ from fiberwave.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
+    _matrix_out,
     geometry_to_json,
     graph_from_json,
     graph_to_json,
@@ -385,8 +386,12 @@ def not_utf8_graph(tmp_path):
         (lambda p: ["solve", "--graph", not_utf8_graph(p), "--lambda", "2", "--eps", "0.1"], "0xe9"),
         (lambda p: ["network-validate", "--graph", edge_graph_json(p), "--lambda", "2", "--eps", "1,,0.5"], "'1,,0.5'"),
         (lambda p: ["network-validate", "--graph", edge_graph_json(p), "--lambda", "2", "--eps", "abc"], "'abc'"),
+        (lambda p: ["network-validate", "--graph", edge_graph_json(p), "--lambda", "2", "--eps", "1,0.5,1.0"], "1.0 more than once"),
     ],
-    ids=["geometry-array", "grid-spacing-nan", "junction-string", "oracle-geometry-list", "graph-not-utf8", "eps-empty-item", "eps-not-number"],
+    ids=[
+        "geometry-array", "grid-spacing-nan", "junction-string", "oracle-geometry-list", "graph-not-utf8",
+        "eps-empty-item", "eps-not-number", "eps-repeated",
+    ],
 )
 def test_malformed_input_exits_invalid(tmp_path, capsys, argv, bad):
     rc = main(argv(tmp_path))
@@ -423,3 +428,13 @@ def test_exit_codes_parse_and_io(tmp_path, capsys):
     )
     rc = main(["solve", "--graph", invalid, "--lambda", "2", "--eps", "0.1"])
     assert rc == EXIT_INVALID
+
+
+def test_matrix_out_matches_per_entry_form():
+    # signed zeros, NaN, inf and subnormals keep their JSON text
+    arr = np.array(
+        [[complex(-0.0, 5e-324), complex(math.nan, -0.0)], [complex(1.5, math.inf), complex(1e-310, -1.0)]]
+    )
+    for m in (arr, arr.T, arr[:, :0], tuple(map(tuple, arr))):
+        want = [[[float(np.real(z)), float(np.imag(z))] for z in row] for row in np.asarray(m)]
+        assert json.dumps(_matrix_out(m)) == json.dumps(want)

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from fiberwave.cross_section import Interval
 from fiberwave.errors import (
@@ -50,6 +52,7 @@ from conftest import (
     dirichlet_edge_graph,
     dirichlet_lead,
     fabry_perot_line,
+    lattice_network,
     loop_network,
     mirror_line,
     mirror_line_reflection,
@@ -166,8 +169,33 @@ def test_assembly_reuses_plan_only_while_mode_counts_hold():
         got = assemble_system(g, SolveRequest(lam, 0.1))
         want = assemble_system(fabry_perot_line(1.0), SolveRequest(lam, 0.1))
         assert got.unknowns == want.unknowns
-        assert np.array_equal(got.matrix, want.matrix)
+        assert np.array_equal(got.matrix.toarray(), want.matrix.toarray())
         assert np.array_equal(got.rhs, want.rhs)
+
+
+def test_assembly_builds_sparsity_pattern_once_per_plan():
+    g = fabry_perot_line(1.0)
+    a = assemble_system(g, SolveRequest(2.0, 0.1))
+    b = assemble_system(g, SolveRequest(3.0, 0.1))
+    assert a.plan is b.plan
+    for m in (a.matrix, b.matrix):
+        assert m.format == "csc"
+        assert np.shares_memory(m.indptr, a.plan.indptr)
+        assert np.shares_memory(m.indices, a.plan.indices)
+    assert not np.shares_memory(a.matrix.data, b.matrix.data)
+    assert not np.array_equal(a.matrix.data, b.matrix.data)
+
+
+@pytest.mark.parametrize("build", [loop_network, lattice_network], ids=["loop", "lattice-4x4"])
+def test_sparse_solve_matches_dense_solve(build):
+    # the loop network sums two values into one matrix slot
+    g = build(np.random.default_rng(7))
+    req = SolveRequest(5.0, 0.1)
+    system = assemble_system(g, req)
+    want = np.linalg.solve(system.matrix.toarray(), system.rhs)[system.plan.ordering_alpha]
+    ns = solve_scattering(g, req)
+    assert ns.t.shape == want.shape
+    assert np.max(np.abs(ns.t - want)) <= 1e-13
 
 
 def test_transparent_full_transmission():
@@ -435,12 +463,23 @@ def test_wave_fields_follow_mode_ordering():
     assert ns.t.shape == (2, 2)  # matrix always full
 
 
-def test_estimate_rcond_exactly_singular_is_zero():
-    a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scipy warns on the zero pivot
-        lu_piv = lu_factor(a)
-        assert _estimate_rcond(a, lu_piv, np.random.default_rng(0)) == 0.0
+def test_estimate_rcond_exactly_singular_is_zero(monkeypatch):
+    # SuperLU raises on an exactly singular matrix; both the solve and the
+    # dip refinement report it as rcond 0
+    import fiberwave.graph_solver as gs
+    import fiberwave.spectrum_tools as st
+
+    g, req = transparent_pair(), SolveRequest(2.0, 0.1)
+    singular = dataclasses.replace(
+        assemble_system(g, req), matrix=sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex))
+    )
+    monkeypatch.setattr(gs, "assemble_system", lambda g, req: singular)
+    monkeypatch.setattr(st, "assemble_system", lambda g, req: singular)
+    assert st._rcond_at(g, req.lam, req.eps) == 0.0
+    ns = solve_scattering(g, req, allow_flagged=True)
+    assert ns.rcond == 0.0
+    assert not ns.certified
+    assert not np.any(np.isfinite(ns.amplitudes))
 
 
 def _complex_gaussian(n: int) -> np.ndarray:
@@ -458,12 +497,14 @@ def _complex_gaussian(n: int) -> np.ndarray:
 )
 def test_estimate_rcond_is_two_norm_reciprocal_condition(a, recorded):
     # RCOND_TOL bounds sigma_min / sigma_max; pin the estimate to it, and to
-    # the values recorded from the lu_solve implementation of the same
-    # iteration.  Any warning fails, among them the ComplexWarning of a real
-    # solve routine dropping the imaginary part of the iterate.
+    # the values recorded from the dense-LU implementation of the same
+    # iteration.  The factor is built as the solver builds it, complex CSC
+    # through splu (a real factor rejects the complex iterate).  Any warning
+    # fails.
+    m = sp.csc_matrix(a.astype(complex))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        est = _estimate_rcond(a, lu_factor(a), np.random.default_rng(0x5EED))
+        est = _estimate_rcond(m, splu(m), np.random.default_rng(0x5EED))
     exact = 1.0 / np.linalg.cond(a, 2)
     assert abs(est - exact) <= 0.05 * exact
     assert abs(est - recorded) <= 1e-12 * recorded
