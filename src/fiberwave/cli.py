@@ -290,6 +290,9 @@ def _cmd_sweep(args) -> int:
         flag_tol=args.flag_tol,
     )
     export_spectrum(sr, args.out)
+    for lam_star, depth in sr.dips:
+        if depth < sr.flag_tol:
+            sys.stderr.write(f"resonance at lambda={lam_star!r}: rcond {depth:.3e}\n")
     flagged = [r for r in sr.rows if not r.certified]
     if flagged:
         sys.stderr.write(

@@ -180,6 +180,7 @@ def resolve_vertex(g: MetricGraph, v: Vertex, lam: float) -> VertexScatteringRes
     window of a threshold of an incident channel."""
     entries: list[tuple[int, str, int]] = []
     per_end_ks: list[np.ndarray] = []
+    floor = math.inf  # lowest threshold of the ends, if any end propagates
     for cid, which in v.ends:
         try:
             ths = cs.thresholds_below(g.channel(cid).cross_section, lam)
@@ -187,6 +188,8 @@ def resolve_vertex(g: MetricGraph, v: Vertex, lam: float) -> VertexScatteringRes
             raise SingularAtThreshold(
                 f"lambda={lam!r} collides with a threshold of channel {cid}"
             ) from exc
+        if ths:
+            floor = min(floor, ths[0])
         ks = np.sqrt(lam - np.asarray(ths, dtype=float))
         per_end_ks.append(ks)
         entries.extend((cid, which, n) for n in range(len(ks)))
@@ -212,7 +215,7 @@ def resolve_vertex(g: MetricGraph, v: Vertex, lam: float) -> VertexScatteringRes
             )
         t = j.array
     elif isinstance(j, TabulatedJunction):
-        t = _interpolate_table(g, v, j, lam)
+        t = _interpolate_table(v, j, lam, floor)
     elif isinstance(j, OracleJunction):
         t = _resolve_oracle(g, v, j, lam)
     else:
@@ -225,15 +228,17 @@ def resolve_vertex(g: MetricGraph, v: Vertex, lam: float) -> VertexScatteringRes
     return VertexScatteringResolved(vertex_id=v.id, entries=tuple(entries), t_matrix=t, d_diag=d_arr)
 
 
-def _interpolate_table(g, v, j: TabulatedJunction, lam: float) -> np.ndarray:
+def _interpolate_table(v, j: TabulatedJunction, lam: float, floor: float) -> np.ndarray:
+    """Table entry at lam, linear in the z-chart z = sqrt(lam - floor) of
+    the ends' lowest threshold `floor`; infinite when no end propagates,
+    and the junction is then 0 x 0."""
     lams, mats = j.arrays
     if not lams[0] <= lam <= lams[-1]:
         raise UnresolvableJunction(
             f"vertex {v.id}: lambda={lam!r} outside tabulated range [{lams[0]!r}, {lams[-1]!r}]"
         )
-    if len(mats) == 1:
+    if len(mats) == 1 or floor == math.inf:
         return mats[0]
-    floor = min(cs.thresholds(g.channel(cid).cross_section, 1)[0] for cid, _ in v.ends)
     z = math.sqrt(max(lam - floor, 0.0))
     zs = np.sqrt(np.maximum(lams - floor, 0.0))
     i = int(np.searchsorted(zs, z, side="right"))

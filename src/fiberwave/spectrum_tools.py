@@ -4,16 +4,20 @@ A sweep solves the scattering problem on a uniform lambda grid, records
 per-column transmission totals, flux-balance residuals and the reciprocal
 condition of the assembled system, and flags resonance intervals.  The
 resonant set of the network (embedded eigenvalues of decoupled pieces)
-consists of isolated points where the system is exactly singular; a grid
-node almost never lands on one, so each strict local minimum of the
-conditioning curve is refined by bounded scalar minimization and the flag
-threshold is applied at the refined minimizer.  A grid row is certified
-when the reciprocal condition over its grid cell - not just at its node -
-stays above the flag threshold and lambda is clear of thresholds.
+consists of isolated points where the system is exactly singular: simple
+real zeros of the analytic det A(lambda).  A grid node almost never lands
+on one, so each strict local minimum of the conditioning curve is refined
+by a bracketed root search (Brent's zeroin) on det A, read off the sparse
+LU factor, and the flag threshold is applied to the reciprocal condition
+at the root.  A grid row is certified when the reciprocal condition over
+its grid cell - not just at its node - stays above the flag threshold and
+lambda is clear of thresholds.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -52,10 +56,12 @@ class SweepRow:
 
 @dataclass
 class SweepResult:
-    """Rows of one sweep plus the maximal flagged lambda intervals."""
+    """Rows of one sweep, the maximal flagged lambda intervals and the
+    refined (lam*, depth) of every conditioning dip, in grid order."""
 
     rows: list[SweepRow]
     flagged_intervals: list[tuple[float, float]]
+    dips: list[tuple[float, float]]
     ordering_entries: tuple[tuple[int, int], ...]
     eps: float
     flag_tol: float
@@ -77,36 +83,100 @@ def _check_interval_clear(g: MetricGraph, lam_lo: float, lam_hi: float) -> None:
             )
 
 
-_GOLDEN = 0.6180339887498949
+def _parity(perm) -> int:
+    """Sign of a permutation: -1 to the number of transpositions, each
+    putting one entry in place, that sort it."""
+    p, sign = list(perm), 1
+    for i in range(len(p)):
+        while p[i] != i:
+            j = p[i]
+            p[i], p[j] = p[j], j
+            sign = -sign
+    return sign
 
 
-def _refine_dip(f, a: float, b: float) -> tuple[float, float]:
-    """Golden-section minimization tracking the best evaluated point.
+def _log_det(g: MetricGraph, lam: float, eps: float) -> tuple[complex, float]:
+    """det A(lam) of the assembled system as (phase, log|det|), read off one
+    SuperLU factor Pr A Pc = L U with unit-diagonal L: the product of U's
+    diagonal times the signs of both permutations.  SuperLU does not
+    equilibrate, so no scale factors enter.  An exactly singular matrix
+    gives (0, -inf)."""
+    system = assemble_system(g, SolveRequest(lam=lam, eps=eps))
+    try:
+        lu = lu_factor(system.matrix)
+    except RuntimeError:  # SuperLU: the matrix is exactly singular
+        return 0j, -math.inf
+    pivots = lu.U.diagonal()
+    mag = np.abs(pivots)
+    phase = complex(np.prod(pivots / mag)) * _parity(lu.perm_r) * _parity(lu.perm_c)
+    return phase, float(np.sum(np.log(mag)))
 
-    The conditioning curve dips like |lam - lam*| at a resonance, so the
-    sqrt(eps)-limited generic minimizers stall eight orders of magnitude
-    above the bottom; plain golden section reaches float spacing instead.
-    """
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    best_x, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
-    for _ in range(90):
-        if b - a <= 4.0 * np.finfo(float).eps * max(1.0, abs(a)):
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
+
+def _zeroin(f, a: float, fa: float, b: float, fb: float) -> float:
+    """Brent's zeroin (Algorithms for Minimization without Derivatives,
+    1973, ch. 4): a root of f in the bracket [a, b], fa * fb <= 0, down to
+    float spacing.  Inverse quadratic or secant steps where they stay
+    inside the bracket and shrink it fast enough, bisection otherwise."""
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * sys.float_info.epsilon * abs(b)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        if f1 < best_f:
-            best_x, best_f = x1, f1
-        if f2 < best_f:
-            best_x, best_f = x2, f2
-    return best_x, best_f
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        if fb * math.copysign(1.0, fc) > 0.0:
+            c, fc = a, fa
+            d = e = b - a
+
+
+def _refine_dip(g: MetricGraph, eps: float, a: float, b: float) -> Optional[tuple[float, float]]:
+    """Resonance lam* in the grid cell [a, b] and its dip depth, or None
+    when the cell holds no real zero of det A.
+
+    An embedded eigenvalue is a simple zero of the analytic det A(lam),
+    which is nearly linear across one cell.  With u the unit direction of
+    det A(b) - det A(a), the real function h = Re(conj(u) det A) changes
+    sign at lam* and is solved by zeroin; the depth is the 2-norm
+    reciprocal condition at lam*.  Determinants are scaled by |det A(a)|
+    so that none overflows.
+    """
+    (pa, la), (pb, lb) = _log_det(g, a, eps), _log_det(g, b, eps)
+    ref = la if pa else lb
+
+    def det(phase: complex, log_abs: float) -> complex:
+        return phase * math.exp(log_abs - ref) if phase else 0j
+
+    da, db = det(pa, la), det(pb, lb)
+    u = (db - da).conjugate() / abs(db - da) if db != da else 1.0
+    ha, hb = (u * da).real, (u * db).real
+    if ha > 0.0 or hb < 0.0:
+        return None
+    lam_star = _zeroin(lambda lam: (u * det(*_log_det(g, lam, eps))).real, a, ha, b, hb)
+    return lam_star, _rcond_at(g, lam_star, eps)
 
 
 def _rcond_at(g: MetricGraph, lam: float, eps: float) -> float:
@@ -132,9 +202,10 @@ def sweep(
 
     The interval must exclude every cross-section threshold of every
     channel.  Uncertified grid points are grouped into maximal flagged
-    intervals; each strict local minimum of the conditioning curve is
-    traced to its bottom and the enclosing grid cells are flagged when the
-    minimum falls below `flag_tol`.
+    intervals.  Each strict local minimum of the conditioning curve is
+    refined to the zero of det A between its grid neighbours, and the grid
+    rows within one step of it are flagged when the reciprocal condition
+    there falls below `flag_tol`.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
@@ -154,17 +225,17 @@ def sweep(
             flux = energy_report(ns).balance
         rows.append(SweepRow(float(lam), abs_t_sq, flux, ns.rcond, ns.certified))
 
+    dips: list[tuple[float, float]] = []
     if steps >= 3:
         step = (lam_hi - lam_lo) / (steps - 1)
         rc = np.array([r.rcond for r in rows])
         for i in range(1, steps - 1):
             if not (rc[i] < rc[i - 1] and rc[i] < rc[i + 1]):
                 continue
-            lam_star, dip = _refine_dip(
-                lambda lam: _rcond_at(g, float(lam), eps),
-                float(lams[i - 1]),
-                float(lams[i + 1]),
-            )
+            refined = _refine_dip(g, eps, float(lams[i - 1]), float(lams[i + 1]))
+            # no real zero of det A in the cell: the node is the dip's bottom
+            lam_star, dip = refined if refined is not None else (float(lams[i]), float(rc[i]))
+            dips.append((lam_star, dip))
             if dip < flag_tol:
                 for j, row in enumerate(rows):
                     if abs(row.lam - lam_star) <= step:
@@ -189,6 +260,7 @@ def sweep(
     return SweepResult(
         rows=rows,
         flagged_intervals=flagged,
+        dips=dips,
         ordering_entries=global_ordering(g, lam_lo).entries,
         eps=eps,
         flag_tol=flag_tol,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -161,11 +162,17 @@ def test_sweep_command_flags(tmp_path, capsys):
     assert rc == EXIT_NUMERIC  # flagged intervals present
     rc = main(args + ["--allow-flagged"])
     assert rc == EXIT_OK
-    capsys.readouterr()
+    eigs = [1.0 + (math.pi * p * 0.1) ** 2 for p in (1, 2, 3)]
+    # one stderr line per flagged dip, naming its refined lambda and depth
+    dips = [l for l in capsys.readouterr().err.splitlines() if l.startswith("resonance at")]
+    assert len(dips) == 2 * len(eigs)
+    for line, e in zip(dips, eigs + eigs):
+        m = re.fullmatch(r"resonance at lambda=(\S+): rcond (\S+)", line)
+        assert abs(float(m.group(1)) - e) < 1e-12
+        assert float(m.group(2)) < 1e-10
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "lambda,col,abs_t_sq,flux_residual,rcond,certified"
     flagged_lams = [float(l.split(",")[0]) for l in lines[1:] if l.endswith(",0")]
-    eigs = [1.0 + (math.pi * p * 0.1) ** 2 for p in (1, 2, 3)]
     step = (2.0 - 1.05) / 99
     assert flagged_lams
     for lam in flagged_lams:

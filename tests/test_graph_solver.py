@@ -123,6 +123,23 @@ def test_tabulated_interpolates_linearly_in_z():
         resolve_vertex(g, g.vertices[0], lam0 + 0.6**2)
 
 
+def test_tabulated_z_chart_floor_is_lowest_threshold_of_the_ends():
+    # the wide channel opens at 1, the narrow one at 2.25: below 2.25 the
+    # vertex is 1 x 1 and the chart is z = sqrt(lam - 1)
+    zs = (0.2, 0.4)
+    table = tuple((1.0 + z * z, ((complex(z),),)) for z in zs)
+    g = MetricGraph(
+        channels=(
+            Channel(1, math.inf, Interval(math.pi / 1.5), 1, None),
+            Channel(2, math.inf, W_PI, 1, None),
+        ),
+        vertices=(Vertex(1, ((1, "start"), (2, "start")), TabulatedJunction(table)),),
+    )
+    res = resolve_vertex(g, g.vertices[0], 1.0 + 0.3**2)
+    assert res.entries == ((2, "start", 0),)
+    assert abs(res.t_matrix[0, 0] - 0.3) < 1e-14
+
+
 def test_oracle_junction_cache_is_bounded():
     geom = duct_geometry(math.pi, 2 * math.pi, math.pi / 8)
     g = MetricGraph(

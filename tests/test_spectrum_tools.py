@@ -16,10 +16,16 @@ from fiberwave.errors import (
     IntervalContainsThreshold,
 )
 from fiberwave.graph_model import Channel, Dirichlet, MetricGraph, Vertex
-from fiberwave.graph_solver import RCOND_TOL
-from fiberwave.spectrum_tools import export_spectrum, sweep, threshold_extrapolate
+from fiberwave.graph_solver import RCOND_TOL, SolveRequest, assemble_system
+from fiberwave.spectrum_tools import _log_det, export_spectrum, sweep, threshold_extrapolate
 
-from conftest import dirichlet_edge_graph, dirichlet_lead, fabry_perot_line
+from conftest import (
+    dirichlet_edge_graph,
+    dirichlet_lead,
+    fabry_perot_line,
+    lattice_network,
+    loop_network,
+)
 
 
 def edge_eigenvalues(eps: float, length: float, count: int = 3) -> list[float]:
@@ -78,6 +84,53 @@ def test_sweep_refinement_failure_propagates(monkeypatch):
     monkeypatch.setattr(st, "assemble_system", broken)
     with pytest.raises(RuntimeError, match="assembly failed"):
         sweep(fabry_perot_line(1.0), 0.1, 1.5, 3.5, 41)
+
+
+def _count_refinement_assemblies(monkeypatch) -> list[int]:
+    # the grid solves assemble through graph_solver; only the dip
+    # refinement assembles through spectrum_tools' own name
+    import fiberwave.spectrum_tools as st
+
+    calls = [0]
+    assemble = st.assemble_system
+
+    def counting(g, req):
+        calls[0] += 1
+        return assemble(g, req)
+
+    monkeypatch.setattr(st, "assemble_system", counting)
+    return calls
+
+
+def test_sweep_refines_edge_eigenvalues_to_float_spacing(monkeypatch):
+    calls = _count_refinement_assemblies(monkeypatch)
+    sr = sweep(dirichlet_edge_graph(1.0), 0.1, 1.05, 2.0, 100)
+    eigs = edge_eigenvalues(0.1, 1.0)
+    assert len(sr.dips) == len(eigs)
+    for (lam_star, depth), e in zip(sr.dips, eigs):
+        assert abs(lam_star - e) < 1e-12
+        assert depth < RCOND_TOL
+    assert calls[0] <= 10 * len(sr.dips)
+
+
+def test_sweep_fabry_perot_dips_cost_few_assemblies(monkeypatch):
+    # |det A| is constant on the Fabry-Perot line and only its phase turns:
+    # the dips of the conditioning curve are shallow and none is flagged
+    calls = _count_refinement_assemblies(monkeypatch)
+    sr = sweep(fabry_perot_line(1.0), 0.1, 1.5, 3.5, 41)
+    assert sr.dips
+    assert sr.flagged_intervals == []
+    assert all(r.certified for r in sr.rows)
+    assert all(depth >= RCOND_TOL for _, depth in sr.dips)
+    assert calls[0] <= 12 * len(sr.dips)
+
+
+@pytest.mark.parametrize("build", [loop_network, lattice_network])
+def test_log_det_matches_dense_determinant(build):
+    g = build(np.random.default_rng(3))
+    phase, log_abs = _log_det(g, 5.0, 0.3)
+    dense = np.linalg.det(assemble_system(g, SolveRequest(lam=5.0, eps=0.3)).matrix.toarray())
+    assert abs(phase * math.exp(log_abs) - dense) <= 1e-12 * abs(dense)
 
 
 def test_sweep_rejects_threshold_in_interval():
