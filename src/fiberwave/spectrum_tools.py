@@ -7,11 +7,13 @@ resonant set of the network (embedded eigenvalues of decoupled pieces)
 consists of isolated points where the system is exactly singular: simple
 real zeros of the analytic det A(lambda).  A grid node almost never lands
 on one, so each strict local minimum of the conditioning curve is refined
-by a bracketed root search (Brent's zeroin) on det A, read off the sparse
-LU factor, and the flag threshold is applied to the reciprocal condition
-at the root.  A grid row is certified when the reciprocal condition over
-its grid cell - not just at its node - stays above the flag threshold and
-lambda is clear of thresholds.
+to the bottom of |det A| between its grid neighbours, read off one sparse
+LU factor per lambda; at an embedded eigenvalue that bottom is a V-shaped
+zero, found by secant steps along the V's branches.  The flag threshold
+is applied to the reciprocal condition at the bottom.  A grid row is
+certified when the reciprocal condition over its grid cell - not just at
+its node - stays above the flag threshold and lambda is clear of
+thresholds.
 """
 
 from __future__ import annotations
@@ -43,6 +45,13 @@ from .graph_solver import (
     energy_report,
     solve_scattering,
 )
+
+
+# dip refinement: relative rise of |det A| at both neighbours of the lowest
+# sample below which a minimum counts as resolved, and the most factors it
+# makes beyond the cell's three grid points
+_FLAT_REL = 1e-8
+_V_STEPS = 20
 
 
 @dataclass
@@ -83,110 +92,113 @@ def _check_interval_clear(g: MetricGraph, lam_lo: float, lam_hi: float) -> None:
             )
 
 
-def _parity(perm) -> int:
-    """Sign of a permutation: -1 to the number of transpositions, each
-    putting one entry in place, that sort it."""
-    p, sign = list(perm), 1
-    for i in range(len(p)):
-        while p[i] != i:
-            j = p[i]
-            p[i], p[j] = p[j], j
-            sign = -sign
-    return sign
-
-
-def _log_det(g: MetricGraph, lam: float, eps: float) -> tuple[complex, float]:
-    """det A(lam) of the assembled system as (phase, log|det|), read off one
-    SuperLU factor Pr A Pc = L U with unit-diagonal L: the product of U's
-    diagonal times the signs of both permutations.  SuperLU does not
-    equilibrate, so no scale factors enter.  An exactly singular matrix
-    gives (0, -inf)."""
-    system = assemble_system(g, SolveRequest(lam=lam, eps=eps))
+def _factor(g: MetricGraph, lam: float, eps: float):
+    """The assembled matrix at lam and its SuperLU factor; the factor is
+    None when the matrix is exactly singular."""
+    matrix = assemble_system(g, SolveRequest(lam=lam, eps=eps)).matrix
     try:
-        lu = lu_factor(system.matrix)
+        return matrix, lu_factor(matrix)
     except RuntimeError:  # SuperLU: the matrix is exactly singular
-        return 0j, -math.inf
-    pivots = lu.U.diagonal()
-    mag = np.abs(pivots)
-    phase = complex(np.prod(pivots / mag)) * _parity(lu.perm_r) * _parity(lu.perm_c)
-    return phase, float(np.sum(np.log(mag)))
+        return matrix, None
 
 
-def _zeroin(f, a: float, fa: float, b: float, fb: float) -> float:
-    """Brent's zeroin (Algorithms for Minimization without Derivatives,
-    1973, ch. 4): a root of f in the bracket [a, b], fa * fb <= 0, down to
-    float spacing.  Inverse quadratic or secant steps where they stay
-    inside the bracket and shrink it fast enough, bisection otherwise."""
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = 2.0 * sys.float_info.epsilon * abs(b)
-        m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0.0:
-            return b
-        if abs(e) < tol or abs(fa) <= abs(fb):
-            d = e = m
-        else:
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * m * s, 1.0 - s
-            else:
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * e * q):
-                e, d = d, p / q
-            else:
-                d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = f(b)
-        if fb * math.copysign(1.0, fc) > 0.0:
-            c, fc = a, fa
-            d = e = b - a
+def _log_abs_det(lu) -> float:
+    """log|det A| read off the SuperLU factor Pr A Pc = L U: L has a unit
+    diagonal and SuperLU does not equilibrate, so it is the sum of
+    log|U_ii|.  No factor (an exactly singular matrix) gives -inf."""
+    if lu is None:
+        return -math.inf
+    return float(np.sum(np.log(np.abs(lu.U.diagonal()))))
 
 
-def _refine_dip(g: MetricGraph, eps: float, a: float, b: float) -> Optional[tuple[float, float]]:
-    """Resonance lam* in the grid cell [a, b] and its dip depth, or None
-    when the cell holds no real zero of det A.
+def _v_bottom(log_d, a: float, m: float, b: float) -> float:
+    """Bottom of |det A| on the grid cell [a, b] around the dip node m,
+    from log_d(lam) = log|det A(lam)|, called on a, m, b and then on at
+    most _V_STEPS more points.
 
-    An embedded eigenvalue is a simple zero of the analytic det A(lam),
-    which is nearly linear across one cell.  With u the unit direction of
-    det A(b) - det A(a), the real function h = Re(conj(u) det A) changes
-    sign at lam* and is solved by zeroin; the depth is the 2-norm
-    reciprocal condition at lam*.  Determinants are scaled by |det A(a)|
-    so that none overflows.
+    At a simple real zero lam*, |det A| = |c(lam)| |lam - lam*| with c
+    smooth: a V.  Of the two chords next to the lowest sample x, the one
+    on the far side of the vertex lies on a branch of the V and is the
+    steeper, the other straddles the vertex; the step goes to where the
+    steeper chord's line, taken through x, meets zero.  A step that would
+    leave the samples around x bisects the larger side instead.  At a cell
+    end, where x has one neighbour, the chord beyond that neighbour is the
+    branch, and a step that would leave the cell ends the search: |det A|
+    has no bottom inside.  The search also ends when |det A| vanishes,
+    when the step is below float spacing or runs against a sample within
+    rounding of x, and when |det A| at both neighbours of x exceeds its
+    value at x by less than _FLAT_REL of it (a smooth minimum, resolved,
+    or no minimum at all).
     """
-    (pa, la), (pb, lb) = _log_det(g, a, eps), _log_det(g, b, eps)
-    ref = la if pa else lb
+    logs = [(lam, log_d(lam)) for lam in (a, m, b)]
+    ref = max(l for _, l in logs)  # |det A| is kept relative to the cell's largest
+    if ref == -math.inf:
+        return m
+    pts = [(lam, math.exp(l - ref)) for lam, l in logs]
+    for _ in range(_V_STEPS):
+        i = min(range(len(pts)), key=lambda j: pts[j][1])
+        x, dx = pts[i]
+        if dx == 0.0:
+            return x
+        tol = 2.0 * sys.float_info.epsilon * abs(x)
+        if 0 < i < len(pts) - 1:
+            (lo, d_lo), (hi, d_hi) = pts[i - 1], pts[i + 1]
+            if min(d_lo, d_hi) - dx <= _FLAT_REL * dx:
+                return x
+            s_left, s_right = (d_lo - dx) / (x - lo), (d_hi - dx) / (hi - x)
+            y = x + dx / s_left if s_left >= s_right else x - dx / s_right
+            if not lo < y < hi:
+                if abs(x - (lo if y < x else hi)) <= 16.0 * tol:
+                    return x  # the samples next to x differ by rounding only
+                y = 0.5 * (lo + x) if x - lo > hi - x else 0.5 * (x + hi)
+        else:
+            (p, dp), (q, dq) = (pts[1], pts[2]) if i == 0 else (pts[-2], pts[-3])
+            slope = (dq - dp) / abs(q - p)
+            if slope <= 0.0:
+                return x
+            y = p - dp / slope if i == 0 else p + dp / slope
+            lo, hi = min(x, p), max(x, p)
+            if not lo < y < hi:
+                return x
+        if abs(y - x) <= tol or y in (lo, hi):
+            return x
+        pts.append((y, math.exp(log_d(y) - ref)))
+        pts.sort()
+    return min(pts, key=lambda pt: pt[1])[0]
 
-    def det(phase: complex, log_abs: float) -> complex:
-        return phase * math.exp(log_abs - ref) if phase else 0j
 
-    da, db = det(pa, la), det(pb, lb)
-    u = (db - da).conjugate() / abs(db - da) if db != da else 1.0
-    ha, hb = (u * da).real, (u * db).real
-    if ha > 0.0 or hb < 0.0:
-        return None
-    lam_star = _zeroin(lambda lam: (u * det(*_log_det(g, lam, eps))).real, a, ha, b, hb)
-    return lam_star, _rcond_at(g, lam_star, eps)
+def _refine_dip(g: MetricGraph, eps: float, a: float, m: float, b: float) -> tuple[float, float]:
+    """The bottom lam* of |det A| in the grid cell [a, b] around the dip
+    node m, and the 2-norm reciprocal condition there.
+
+    |det A| carries no phase, so the search does not depend on how fast
+    the phase of det A turns across the cell: it turns with every broad
+    resonance of the open network, not only at the zero.  At an embedded
+    eigenvalue the bottom is an exact zero, which _v_bottom finds down to
+    float spacing; in a cell with no real zero it is a smooth minimum or a
+    cell end, and the caller compares its depth with the grid node's.
+    """
+    last: dict[float, tuple] = {}
+
+    def log_d(lam: float) -> float:
+        last.clear()
+        last[lam] = _factor(g, lam, eps)
+        return _log_abs_det(last[lam][1])
+
+    lam_star = _v_bottom(log_d, a, m, b)
+    # the depth reuses the factor of the last evaluation when it is lam*
+    return lam_star, _rcond(*last[lam_star]) if lam_star in last else _rcond_at(g, lam_star, eps)
+
+
+def _rcond(matrix, lu) -> float:
+    if lu is None:
+        return 0.0
+    with np.errstate(all="ignore"):
+        return _estimate_rcond(matrix, lu, np.random.default_rng(0x5EED))
 
 
 def _rcond_at(g: MetricGraph, lam: float, eps: float) -> float:
-    system = assemble_system(g, SolveRequest(lam=lam, eps=eps))
-    try:
-        lu = lu_factor(system.matrix)
-    except RuntimeError:  # SuperLU: the matrix is exactly singular
-        return 0.0
-    with np.errstate(all="ignore"):
-        return _estimate_rcond(system.matrix, lu, np.random.default_rng(0x5EED))
+    return _rcond(*_factor(g, lam, eps))
 
 
 def sweep(
@@ -203,9 +215,10 @@ def sweep(
     The interval must exclude every cross-section threshold of every
     channel.  Uncertified grid points are grouped into maximal flagged
     intervals.  Each strict local minimum of the conditioning curve is
-    refined to the zero of det A between its grid neighbours, and the grid
-    rows within one step of it are flagged when the reciprocal condition
-    there falls below `flag_tol`.
+    refined to the bottom of |det A| between its grid neighbours (the node
+    itself when the bottom there is better conditioned than the node), and
+    the grid rows within one step of it are flagged when the reciprocal
+    condition there falls below `flag_tol`.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
@@ -232,9 +245,9 @@ def sweep(
         for i in range(1, steps - 1):
             if not (rc[i] < rc[i - 1] and rc[i] < rc[i + 1]):
                 continue
-            refined = _refine_dip(g, eps, float(lams[i - 1]), float(lams[i + 1]))
-            # no real zero of det A in the cell: the node is the dip's bottom
-            lam_star, dip = refined if refined is not None else (float(lams[i]), float(rc[i]))
+            lam_star, dip = _refine_dip(g, eps, float(lams[i - 1]), float(lams[i]), float(lams[i + 1]))
+            if dip > rc[i]:  # no real zero of det A in the cell: the node is the bottom
+                lam_star, dip = float(lams[i]), float(rc[i])
             dips.append((lam_star, dip))
             if dip < flag_tol:
                 for j, row in enumerate(rows):

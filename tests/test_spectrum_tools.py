@@ -15,11 +15,20 @@ from fiberwave.errors import (
     InsufficientSamples,
     IntervalContainsThreshold,
 )
-from fiberwave.graph_model import Channel, Dirichlet, MetricGraph, Vertex
+from fiberwave.graph_model import Channel, Dirichlet, MetricGraph, Transparent, Vertex
 from fiberwave.graph_solver import RCOND_TOL, SolveRequest, assemble_system
-from fiberwave.spectrum_tools import _log_det, export_spectrum, sweep, threshold_extrapolate
+from fiberwave.spectrum_tools import (
+    _V_STEPS,
+    _factor,
+    _log_abs_det,
+    _v_bottom,
+    export_spectrum,
+    sweep,
+    threshold_extrapolate,
+)
 
 from conftest import (
+    W_PI,
     dirichlet_edge_graph,
     dirichlet_lead,
     fabry_perot_line,
@@ -125,12 +134,73 @@ def test_sweep_fabry_perot_dips_cost_few_assemblies(monkeypatch):
     assert calls[0] <= 12 * len(sr.dips)
 
 
+def test_sweep_coarse_grid_flags_edge_eigenvalues():
+    # ten grid points: each dip's cell spans a fifth of the window
+    sr = sweep(dirichlet_edge_graph(1.0), 0.1, 1.05, 2.0, 10)
+    for e in edge_eigenvalues(0.1, 1.0):
+        assert any(a <= e <= b for a, b in sr.flagged_intervals)
+        assert any(abs(lam_star - e) < 1e-12 and depth < RCOND_TOL for lam_star, depth in sr.dips)
+
+
+def capped_edge_beside_mirror(mirror_length: float) -> MetricGraph:
+    """dirichlet_edge_graph(1.0) next to a disjoint mirror line: a lead,
+    a transparent vertex and a finite edge of `mirror_length` closed by
+    total reflection.  The phase of det A turns with the mirror's
+    k mirror_length / eps, while |det A| and the conditioning see only the
+    capped edge's eigenvalues."""
+    return MetricGraph(
+        channels=(
+            Channel(1, math.inf, W_PI, 1, None),
+            Channel(2, 1.0, W_PI, 1, 2),
+            Channel(3, math.inf, W_PI, 3, None),
+            Channel(4, mirror_length, W_PI, 3, 4),
+        ),
+        vertices=(
+            Vertex(1, ((1, "start"), (2, "start")), Dirichlet()),
+            Vertex(2, ((2, "end"),), Dirichlet()),
+            Vertex(3, ((3, "start"), (4, "start")), Transparent()),
+            Vertex(4, ((4, "end"),), Dirichlet()),
+        ),
+    )
+
+
+def test_sweep_refinement_ignores_phase_of_det():
+    # on 20 steps det A's phase turns by 1.6 to 4.9 rad across the dips'
+    # two-step cells; the refinement reads |det A| only
+    sr = sweep(capped_edge_beside_mirror(3.0), 0.1, 1.05, 2.0, 20)
+    for e in edge_eigenvalues(0.1, 1.0):
+        assert any(abs(lam_star - e) < 1e-12 and depth < RCOND_TOL for lam_star, depth in sr.dips)
+
+
+def test_v_bottom_zero_smooth_minimum_and_flat():
+    calls = []
+
+    def counted(log_abs_det):
+        def log_d(lam):
+            calls.append(lam)
+            return log_abs_det(lam)
+
+        return log_d
+
+    # a zero under a steeply varying |c|: found to float spacing
+    zero = counted(lambda lam: math.log(abs((lam - 1.2345) * math.exp(4.0 * lam))) if lam != 1.2345 else -math.inf)
+    assert abs(_v_bottom(zero, 1.0, 1.3, 1.6) - 1.2345) <= 4.5e-16
+    # a smooth minimum (no real zero) ends within the step budget, at its bottom
+    calls.clear()
+    lam = _v_bottom(counted(lambda lam: 0.5 * math.log((lam - 1.2) ** 2 + 1e-6)), 1.0, 1.3, 1.6)
+    assert abs(lam - 1.2) < 1e-4 and len(calls) <= 3 + _V_STEPS
+    # constant |det A|: nothing beyond the three grid samples
+    calls.clear()
+    _v_bottom(counted(lambda lam: 2.77), 1.0, 1.3, 1.6)
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("build", [loop_network, lattice_network])
-def test_log_det_matches_dense_determinant(build):
+def test_log_abs_det_matches_dense_determinant(build):
     g = build(np.random.default_rng(3))
-    phase, log_abs = _log_det(g, 5.0, 0.3)
+    log_abs = _log_abs_det(_factor(g, 5.0, 0.3)[1])
     dense = np.linalg.det(assemble_system(g, SolveRequest(lam=5.0, eps=0.3)).matrix.toarray())
-    assert abs(phase * math.exp(log_abs) - dense) <= 1e-12 * abs(dense)
+    assert abs(log_abs - math.log(abs(dense))) <= 1e-12
 
 
 def test_sweep_rejects_threshold_in_interval():
