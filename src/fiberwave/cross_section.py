@@ -57,35 +57,21 @@ def shape_dims(shape: CrossSectionShape) -> tuple[float, ...]:
     raise TypeError(f"not a cross-section shape: {shape!r}")
 
 
-def _dims_valid(shape: CrossSectionShape) -> bool:
-    return all(math.isfinite(d) and d > 0 for d in shape_dims(shape))
+def _checked_dims(shape: CrossSectionShape) -> tuple[float, ...]:
+    dims = shape_dims(shape)
+    if not all(math.isfinite(d) and d > 0 for d in dims):
+        raise ValueError(f"cross-section dimensions must be positive: {shape!r}")
+    return dims
 
 
 # Mode descriptors: Interval -> n; Rectangle -> (p, q); Disk -> (m, k, parity)
 # with parity 0 = cos(m theta), 1 = sin(m theta).
 
-#: Entries kept by each spectrum cache below.  One request touches at most
-#: about 134 keys of one cache (a 10x10 lattice of distinct shapes), so
-#: repeated lambdas of one request always hit, while a long-lived process
-#: keeps a fixed amount of memory however many distinct shapes it sees.
+#: Entries kept by the Bessel-zero cache.  Its keys are (order, index)
+#: pairs, which do not depend on the radius, so one request touches a few
+#: dozen of them however many distinct disks its channels carry, and a
+#: long-lived process keeps a fixed amount of memory.
 SPECTRUM_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
-def _interval_modes(width: float, count: int) -> tuple[tuple[float, int], ...]:
-    return tuple((((n + 1) * math.pi / width) ** 2, n) for n in range(count))
-
-
-@lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
-def _rectangle_modes(a: float, b: float, count: int):
-    # Any eigenvalue among the `count` smallest has both indices <= count.
-    cand = []
-    for p in range(1, count + 1):
-        for q in range(1, count + 1):
-            lam = math.pi**2 * (p**2 / a**2 + q**2 / b**2)
-            cand.append((lam, p, q))
-    cand.sort()
-    return tuple(cand[:count])
 
 
 @lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
@@ -93,22 +79,47 @@ def _bessel_zero(m: int, k: int) -> float:
     return float(jn_zeros(m, k)[-1])
 
 
-@lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
-def _disk_modes(radius: float, count: int):
-    # Order m contributes zeros j_{m,k}; multiplicity 2 for m >= 1
-    # (cos/sin variants).  j_{m,1} is increasing in m, so orders beyond
-    # `count` cannot enter the first `count` eigenvalues.
-    cand = []
-    for m in range(count + 1):
-        for k, z in enumerate(jn_zeros(m, count), start=1):
-            lam = (z / radius) ** 2
-            if m == 0:
-                cand.append((lam, m, k, 0))
-            else:
-                cand.append((lam, m, k, 0))
-                cand.append((lam, m, k, 1))
-    cand.sort()
-    return tuple(cand[:count])
+def _modes(shape: CrossSectionShape, level: float) -> list[tuple]:
+    """Every mode with eigenvalue <= level as (eigenvalue, *descriptor),
+    ascending; equal eigenvalues are ordered by descriptor."""
+    _checked_dims(shape)
+    modes = []
+    if isinstance(shape, Interval):
+        n = 0
+        while (lam := ((n + 1) * math.pi / shape.width) ** 2) <= level:
+            modes.append((lam, n))
+            n += 1
+        return modes
+    if isinstance(shape, Rectangle):
+        a, b = shape.side_a, shape.side_b
+        p = 1
+        while math.pi**2 * (p**2 / a**2 + 1 / b**2) <= level:
+            q = 1
+            while (lam := math.pi**2 * (p**2 / a**2 + q**2 / b**2)) <= level:
+                modes.append((lam, p, q))
+                q += 1
+            p += 1
+    else:
+        # order m contributes zeros j_{m,k}, twice for m >= 1 (cos/sin
+        # variants); j_{m,1} is increasing in m, so the first order whose
+        # first zero passes the level ends the enumeration
+        m = 0
+        while (_bessel_zero(m, 1) / shape.radius) ** 2 <= level:
+            k = 1
+            while (lam := (_bessel_zero(m, k) / shape.radius) ** 2) <= level:
+                modes += [(lam, m, k, parity) for parity in ((0,) if m == 0 else (0, 1))]
+                k += 1
+            m += 1
+    modes.sort()
+    return modes
+
+
+def _first_modes(shape: CrossSectionShape, count: int) -> list[tuple]:
+    """The `count` lowest modes, raising the level until enough lie below."""
+    level = (math.pi / min(_checked_dims(shape))) ** 2
+    while len(modes := _modes(shape, level)) < count:
+        level *= 2
+    return modes[:count]
 
 
 def thresholds(shape: CrossSectionShape, count: int) -> list[float]:
@@ -121,13 +132,7 @@ def thresholds(shape: CrossSectionShape, count: int) -> list[float]:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if not _dims_valid(shape):
-        raise ValueError(f"cross-section dimensions must be positive: {shape!r}")
-    if isinstance(shape, Interval):
-        return [lam for lam, _ in _interval_modes(shape.width, count)]
-    if isinstance(shape, Rectangle):
-        return [lam for lam, _, _ in _rectangle_modes(shape.side_a, shape.side_b, count)]
-    return [lam for lam, _, _, _ in _disk_modes(shape.radius, count)]
+    return [mode[0] for mode in _first_modes(shape, count)]
 
 
 def threshold_window(lam: float) -> float:
@@ -147,12 +152,7 @@ def thresholds_below(shape: CrossSectionShape, lam: float) -> list[float]:
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam!r}")
     tol = threshold_window(lam)
-    n = 4
-    while True:
-        ths = thresholds(shape, n)
-        if ths[-1] > lam + tol:
-            break
-        n *= 2
+    ths = [mode[0] for mode in _modes(shape, lam + tol)]
     for t in ths:
         if abs(lam - t) < tol:
             raise ThresholdCollision(
@@ -178,41 +178,39 @@ def eigenfunction(shape: CrossSectionShape, n: int, y) -> float:
     """
     if n < 0:
         raise ValueError("mode index must be >= 0")
+    mode = _first_modes(shape, n + 1)[n]
     if isinstance(shape, Interval):
         w = shape.width
         y = float(y)
         if not 0 <= y <= w:
             raise OutOfDomain(f"{y!r} outside interval (0, {w!r})")
-        _, idx = _interval_modes(w, n + 1)[n]
-        return math.sqrt(2.0 / w) * math.sin((idx + 1) * math.pi * y / w)
+        return math.sqrt(2.0 / w) * math.sin((mode[1] + 1) * math.pi * y / w)
     if isinstance(shape, Rectangle):
         a, b = shape.side_a, shape.side_b
         y1, y2 = float(y[0]), float(y[1])
         if not (0 <= y1 <= a and 0 <= y2 <= b):
             raise OutOfDomain(f"({y1!r}, {y2!r}) outside rectangle {a!r} x {b!r}")
-        _, p, q = _rectangle_modes(a, b, n + 1)[n]
+        _, p, q = mode
         return (
             2.0
             / math.sqrt(a * b)
             * math.sin(p * math.pi * y1 / a)
             * math.sin(q * math.pi * y2 / b)
         )
-    if isinstance(shape, Disk):
-        r = shape.radius
-        y1, y2 = float(y[0]), float(y[1])
-        rho = math.hypot(y1, y2)
-        if rho > r:
-            raise OutOfDomain(f"({y1!r}, {y2!r}) outside disk of radius {r!r}")
-        theta = math.atan2(y2, y1)
-        _, m, k, parity = _disk_modes(r, n + 1)[n]
-        z = _bessel_zero(m, k)
-        # ||J_m(z rho / r) trig(m theta)||^2 = (r^2/2) J_{m+1}(z)^2 * (2pi or pi)
-        ang = 2.0 * math.pi if m == 0 else math.pi
-        norm = math.sqrt(ang * r**2 / 2.0) * abs(jv(m + 1, z))
-        radial = jv(m, z * rho / r)
-        trig = math.cos(m * theta) if parity == 0 else math.sin(m * theta)
-        return float(radial * trig / norm)
-    raise TypeError(f"not a cross-section shape: {shape!r}")
+    r = shape.radius
+    y1, y2 = float(y[0]), float(y[1])
+    rho = math.hypot(y1, y2)
+    if rho > r:
+        raise OutOfDomain(f"({y1!r}, {y2!r}) outside disk of radius {r!r}")
+    theta = math.atan2(y2, y1)
+    _, m, k, parity = mode
+    z = _bessel_zero(m, k)
+    # ||J_m(z rho / r) trig(m theta)||^2 = (r^2/2) J_{m+1}(z)^2 * (2pi or pi)
+    ang = 2.0 * math.pi if m == 0 else math.pi
+    norm = math.sqrt(ang * r**2 / 2.0) * abs(jv(m + 1, z))
+    radial = jv(m, z * rho / r)
+    trig = math.cos(m * theta) if parity == 0 else math.sin(m * theta)
+    return float(radial * trig / norm)
 
 
 @dataclass(frozen=True)

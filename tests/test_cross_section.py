@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import jn_zeros
 
 from fiberwave import cross_section
 from fiberwave.cross_section import (
@@ -220,14 +221,7 @@ def test_mode_table_thresholds_ascending():
 
 
 @pytest.mark.parametrize(
-    "helper, key",
-    [
-        (cross_section._interval_modes, lambda i: (1.0 + 1e-3 * i, 3)),
-        (cross_section._rectangle_modes, lambda i: (1.0 + 1e-3 * i, 2.0, 3)),
-        (cross_section._bessel_zero, lambda i: (i, 1)),
-        (cross_section._disk_modes, lambda i: (1.0 + 1e-3 * i, 3)),
-    ],
-    ids=["interval", "rectangle", "bessel_zero", "disk"],
+    "helper, key", [(cross_section._bessel_zero, lambda i: (i, 1))], ids=["bessel_zero"]
 )
 def test_spectrum_caches_are_bounded(helper, key):
     bound = cross_section.SPECTRUM_CACHE_SIZE
@@ -242,3 +236,37 @@ def test_spectrum_caches_are_bounded(helper, key):
     assert helper(*key(0)) == first
     assert helper.cache_info().misses == info.misses + 1
     assert helper.cache_info().currsize == bound
+
+
+def test_disk_enumeration_does_not_depend_on_radius(monkeypatch):
+    # Bessel zeros do not depend on the radius, so 2,000 distinct disks
+    # cost the zeros of a handful of (order, index) pairs
+    calls = []
+
+    def counting_jn_zeros(m, k):
+        calls.append((m, k))
+        return jn_zeros(m, k)
+
+    monkeypatch.setattr(cross_section, "jn_zeros", counting_jn_zeros)
+    cross_section._bessel_zero.cache_clear()
+    for i in range(2000):
+        thresholds_below(Disk(0.95 + 1e-4 * i), 20.0)
+    assert len(calls) <= 10
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [Interval(math.inf), Rectangle(1.0, -1.0), Disk(math.nan)],
+    ids=["interval_inf", "rectangle_negative", "disk_nan"],
+)
+def test_bad_dimensions_raise_at_every_entry_point(shape):
+    y = 0.0 if isinstance(shape, Interval) else (0.0, 0.0)
+    for call in (
+        lambda: thresholds(shape, 3),
+        lambda: thresholds_below(shape, 2.0),
+        lambda: propagating_count(shape, 2.0),
+        lambda: eigenfunction(shape, 0, y),
+        lambda: mode_table(shape, 3),
+    ):
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            call()
