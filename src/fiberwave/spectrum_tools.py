@@ -178,16 +178,14 @@ def _refine_dip(g: MetricGraph, eps: float, a: float, m: float, b: float) -> tup
     float spacing; in a cell with no real zero it is a smooth minimum or a
     cell end, and the caller compares its depth with the grid node's.
     """
-    last: dict[float, tuple] = {}
+    evals: dict[float, tuple] = {}  # every factor of the cell, freed on return
 
     def log_d(lam: float) -> float:
-        last.clear()
-        last[lam] = _factor(g, lam, eps)
-        return _log_abs_det(last[lam][1])
+        evals[lam] = _factor(g, lam, eps)
+        return _log_abs_det(evals[lam][1])
 
-    lam_star = _v_bottom(log_d, a, m, b)
-    # the depth reuses the factor of the last evaluation when it is lam*
-    return lam_star, _rcond(*last[lam_star]) if lam_star in last else _rcond_at(g, lam_star, eps)
+    lam_star = _v_bottom(log_d, a, m, b)  # always one of the sampled points
+    return lam_star, _rcond(*evals[lam_star])
 
 
 def _rcond(matrix, lu) -> float:
@@ -195,10 +193,6 @@ def _rcond(matrix, lu) -> float:
         return 0.0
     with np.errstate(all="ignore"):
         return _estimate_rcond(matrix, lu, np.random.default_rng(0x5EED))
-
-
-def _rcond_at(g: MetricGraph, lam: float, eps: float) -> float:
-    return _rcond(*_factor(g, lam, eps))
 
 
 def sweep(
