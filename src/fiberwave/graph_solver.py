@@ -433,8 +433,8 @@ def assemble_system(g: MetricGraph, req: SolveRequest) -> LinearSystem:
 
 
 def lu_solve(lu, b: np.ndarray) -> np.ndarray:
-    """Solve with a SuperLU factor; every solve and refinement step goes
-    through this name, which perfbench/tracing.py times."""
+    """Solve with a SuperLU factor; every block solve goes through this
+    name, which perfbench/tracing.py times."""
     return lu.solve(b)
 
 
@@ -506,9 +506,8 @@ def solve_scattering(
                 pass
             else:
                 y = lu_solve(lu, b)
-                # one step of iterative refinement; a tiny pivot leaves y
-                # non-finite, which is reported like an exactly singular LU
-                y += lu_solve(lu, b - a @ y)
+                # a tiny pivot leaves y non-finite, which is reported like
+                # an exactly singular LU
                 if np.all(np.isfinite(y)):
                     x, rcond = y, _estimate_rcond(a, lu, np.random.default_rng(0x5EED))
 
