@@ -89,8 +89,7 @@ def _modes(shape: CrossSectionShape, level: float) -> list[tuple]:
         while (lam := ((n + 1) * math.pi / shape.width) ** 2) <= level:
             modes.append((lam, n))
             n += 1
-        return modes
-    if isinstance(shape, Rectangle):
+    elif isinstance(shape, Rectangle):
         a, b = shape.side_a, shape.side_b
         p = 1
         while math.pi**2 * (p**2 / a**2 + 1 / b**2) <= level:
@@ -107,7 +106,7 @@ def _modes(shape: CrossSectionShape, level: float) -> list[tuple]:
         while (_bessel_zero(m, 1) / shape.radius) ** 2 <= level:
             k = 1
             while (lam := (_bessel_zero(m, k) / shape.radius) ** 2) <= level:
-                modes += [(lam, m, k, parity) for parity in ((0,) if m == 0 else (0, 1))]
+                modes += [(lam, m, k, parity) for parity in range(1 if m == 0 else 2)]
                 k += 1
             m += 1
     modes.sort()
