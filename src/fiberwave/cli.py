@@ -11,7 +11,8 @@ file format is JSON:
 
 Junction kinds: dirichlet, transparent, matrix (fields lambda, matrix),
 tabulated (field table: list of {lambda, matrix}), from_oracle (field
-geometry).  Complex numbers are [re, im] pairs.  Geometries are
+geometry).  Complex numbers are [re, im] pairs of JSON numbers, and an
+empty matrix [] is 0 x 0.  Geometries are
 {"cores": [[x0,y0,x1,y1], ...], "stubs": [{"rect": [...], "direction":
 "+x"}, ...], "h": ...}.
 
@@ -64,22 +65,22 @@ EXIT_IO = 4
 # JSON (de)serialization
 
 
-def _complex_in(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise ParseError(f"expected complex as [re, im], got {v!r}")
-
-
 def _matrix_out(m) -> list:
     """Rows of [re, im] pairs, read off the complex array's float64 view."""
     arr = np.asarray(m, dtype=complex)
     return np.ascontiguousarray(arr).view(np.float64).reshape(*arr.shape, 2).tolist()
 
 
-def _matrix_in(rows) -> tuple[tuple[complex, ...], ...]:
-    return tuple(tuple(_complex_in(v) for v in row) for row in rows)
+def _matrix_in(rows) -> np.ndarray:
+    """Complex matrix from rows of [re, im] pairs of JSON numbers; [] is 0 x 0."""
+    a = np.asarray(rows)
+    if a.shape == (0,):
+        a = a.reshape(0, 0, 2)
+    if a.dtype.kind not in "biuf" or a.ndim != 3 or a.shape[2] != 2:
+        raise ParseError(
+            f"expected a matrix of [re, im] number pairs, got an array of shape {a.shape} and dtype {a.dtype}"
+        )
+    return a.astype(float).view(complex)[..., 0]
 
 
 def shape_to_json(shape) -> dict:
@@ -138,7 +139,7 @@ def junction_to_json(j) -> dict:
     if isinstance(j, TabulatedJunction):
         return {
             "kind": "tabulated",
-            "table": [{"lambda": lam, "matrix": _matrix_out(m)} for lam, m in j.table],
+            "table": [{"lambda": lam, "matrix": _matrix_out(m)} for lam, m in zip(j.lams, j.mats)],
         }
     if isinstance(j, OracleJunction):
         return {"kind": "from_oracle", "geometry": geometry_to_json(j.geometry)}
@@ -160,12 +161,13 @@ def junction_from_json(d: dict):
             raise ParseError(f"bad matrix junction: {exc}") from exc
     if kind == "tabulated":
         try:
-            table = tuple(
-                (float(row["lambda"]), _matrix_in(row["matrix"])) for row in d["table"]
+            table = d["table"]
+            return TabulatedJunction(
+                lams=[float(row["lambda"]) for row in table],
+                mats=[_matrix_in(row["matrix"]) for row in table],
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad tabulated junction: {exc}") from exc
-        return TabulatedJunction(table=table)
     if kind == "from_oracle":
         return OracleJunction(geometry=geometry_from_json(d.get("geometry", {})))
     raise ParseError(f"unknown junction kind {kind!r}")
@@ -381,7 +383,7 @@ def _spider_errors(g: MetricGraph, v, lam: float, eps: float) -> tuple[float, fl
             Vertex(
                 id=1,
                 ends=tuple(ends),
-                junction=MatrixJunction(lam=lam, matrix=tuple(map(tuple, res.t_matrix))),
+                junction=MatrixJunction(lam=lam, matrix=res.t_matrix),
             ),
         ),
     )

@@ -58,31 +58,34 @@ class Transparent:
     """
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def _frozen(a, dtype) -> np.ndarray:
+    """A read-only copy of the array-like `a` as `dtype`."""
+    a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixJunction:
     """Explicit junction matrix, valid at a single lambda.
 
-    `matrix` is a nested tuple of complex entries, row major; rows and
-    columns follow the vertex's incident-end order with modes ascending.
+    `matrix` is stored as a read-only complex copy of any array-like;
+    rows and columns follow the vertex's incident-end order with modes
+    ascending.  Junctions compare and hash by identity, as an array has
+    no truth value.
     """
 
     lam: float
-    matrix: tuple[tuple[complex, ...], ...]
+    matrix: np.ndarray
 
-    @cached_property
-    def array(self) -> np.ndarray:
-        """The matrix as a read-only complex array, built once."""
-        return _frozen(np.asarray(self.matrix, dtype=complex))
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", _frozen(self.matrix, complex))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TabulatedJunction:
-    """Junction matrices sampled at increasing lambda values.
+    """Junction matrices `mats[i]` sampled at increasing lambdas `lams[i]`,
+    stored as read-only float and complex copies.
 
     Between samples the matrix is interpolated entrywise, linearly in
     z = sqrt(lambda - lambda_floor) where lambda_floor is the smallest
@@ -90,14 +93,12 @@ class TabulatedJunction:
     that variable near the spectral bottom, so z is the right chart).
     """
 
-    table: tuple[tuple[float, tuple[tuple[complex, ...], ...]], ...]
+    lams: np.ndarray
+    mats: np.ndarray
 
-    @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sample lambdas and stacked sample matrices, read-only, built once."""
-        lams = np.array([lam for lam, _ in self.table], dtype=float)
-        mats = np.array([m for _, m in self.table], dtype=complex)
-        return _frozen(lams), _frozen(mats)
+    def __post_init__(self):
+        object.__setattr__(self, "lams", _frozen(self.lams, float))
+        object.__setattr__(self, "mats", _frozen(self.mats, complex))
 
 
 @dataclass(frozen=True)
@@ -176,22 +177,23 @@ def _junction_violations(v: Vertex, g: MetricGraph) -> list[Violation]:
                     )
                 )
     elif isinstance(j, MatrixJunction):
-        rows = j.matrix
-        if any(len(r) != len(rows) for r in rows):
-            out.append(Violation("matrix_not_square", subject, "junction matrix is not square"))
+        m = j.matrix
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            out.append(Violation("matrix_not_square", subject, f"junction matrix has shape {m.shape}"))
     elif isinstance(j, TabulatedJunction):
-        lams = [lam for lam, _ in j.table]
-        if any(b <= a for a, b in zip(lams, lams[1:])):
+        lams, mats = j.lams, j.mats
+        if lams.ndim != 1 or not lams.size or np.any(lams[1:] <= lams[:-1]):
             out.append(
-                Violation("table_not_increasing", subject, "tabulated lambdas must be strictly increasing")
+                Violation("table_not_increasing", subject, "tabulated lambdas must be non-empty and strictly increasing")
             )
-        dims = set()
-        for _, rows in j.table:
-            dims.add(len(rows))
-            if any(len(r) != len(rows) for r in rows):
-                out.append(Violation("matrix_not_square", subject, "tabulated matrix is not square"))
-        if len(dims) > 1:
-            out.append(Violation("table_dim_mismatch", subject, "tabulated matrices differ in size"))
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.shape[:1] != lams.shape:
+            out.append(
+                Violation(
+                    "matrix_not_square",
+                    subject,
+                    f"tabulated matrices have shape {mats.shape}, expected one square matrix per lambda",
+                )
+            )
     return out
 
 

@@ -158,22 +158,6 @@ class LinearSystem:
     plan: _SolvePlan  # the index arrays the system was scattered through
 
 
-def symmetric_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random symmetric unitary matrix (U U^T with U Haar-distributed)."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return q @ q.T
-
-
-def admissible_junction(d_diag: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Random junction matrix T with D^{1/2} T D^{-1/2} symmetric unitary."""
-    a = symmetric_unitary(len(d_diag), rng)
-    s = np.sqrt(np.asarray(d_diag, dtype=float))
-    return (a / s[:, None]) * s[None, :]
-
-
 def resolve_vertex(g: MetricGraph, v: Vertex, lam: float) -> VertexScatteringResolved:
     """Junction matrix, local mode order and local wavenumber diagonal of a
     vertex at the given lambda; SingularAtThreshold within the exclusion
@@ -213,7 +197,7 @@ def resolve_vertex(g: MetricGraph, v: Vertex, lam: float) -> VertexScatteringRes
             raise UnresolvableJunction(
                 f"vertex {v.id}: matrix junction declared at lambda={j.lam!r}, requested {lam!r}"
             )
-        t = j.array
+        t = j.matrix
     elif isinstance(j, TabulatedJunction):
         t = _interpolate_table(v, j, lam, floor)
     elif isinstance(j, OracleJunction):
@@ -232,7 +216,7 @@ def _interpolate_table(v, j: TabulatedJunction, lam: float, floor: float) -> np.
     """Table entry at lam, linear in the z-chart z = sqrt(lam - floor) of
     the ends' lowest threshold `floor`; infinite when no end propagates,
     and the junction is then 0 x 0."""
-    lams, mats = j.arrays
+    lams, mats = j.lams, j.mats
     if not lams[0] <= lam <= lams[-1]:
         raise UnresolvableJunction(
             f"vertex {v.id}: lambda={lam!r} outside tabulated range [{lams[0]!r}, {lams[-1]!r}]"

@@ -18,10 +18,29 @@ from fiberwave.graph_model import (
     Transparent,
     Vertex,
 )
-from fiberwave.graph_solver import admissible_junction
 from fiberwave.helmholtz_oracle import cross_geometry
 
 W_PI = Interval(math.pi)
+
+
+# ---------------------------------------------------------------------------
+# random admissible junction matrices
+
+
+def symmetric_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Random symmetric unitary matrix (U U^T with U Haar-distributed)."""
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    q = q * (d / np.abs(d))
+    return q @ q.T
+
+
+def admissible_junction(d_diag: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Random junction matrix T with D^{1/2} T D^{-1/2} symmetric unitary."""
+    a = symmetric_unitary(len(d_diag), rng)
+    s = np.sqrt(np.asarray(d_diag, dtype=float))
+    return (a / s[:, None]) * s[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +108,7 @@ def loop_network(rng: np.random.Generator, lam: float = 5.0) -> MetricGraph:
     t = admissible_junction(_vertex_k(channels, ends, lam), rng)
     return MetricGraph(
         channels=channels,
-        vertices=(Vertex(1, ends, MatrixJunction(lam, tuple(map(tuple, t)))),),
+        vertices=(Vertex(1, ends, MatrixJunction(lam, t)),),
     )
 
 
@@ -174,7 +193,7 @@ def random_network(rng: np.random.Generator, lam: float = 5.0) -> MetricGraph:
         ends = tuple(ends_of[v])
         d = _vertex_k(channels, ends, lam)
         t = admissible_junction(d, rng) if len(d) else np.zeros((0, 0))
-        vertices.append(Vertex(v, ends, MatrixJunction(lam, tuple(map(tuple, t)))))
+        vertices.append(Vertex(v, ends, MatrixJunction(lam, t)))
     return MetricGraph(channels=tuple(channels), vertices=tuple(vertices))
 
 
@@ -198,7 +217,7 @@ def lattice_network(rng: np.random.Generator, side: int = 4, lam: float = 5.0) -
     vertices = []
     for v, ends in ends_of.items():
         t = admissible_junction(_vertex_k(channels, ends, lam), rng)
-        vertices.append(Vertex(v, tuple(ends), MatrixJunction(lam, tuple(map(tuple, t)))))
+        vertices.append(Vertex(v, tuple(ends), MatrixJunction(lam, t)))
     return MetricGraph(channels=tuple(channels), vertices=tuple(vertices))
 
 

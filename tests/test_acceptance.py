@@ -34,13 +34,13 @@ from fiberwave.helmholtz_oracle import (
 from fiberwave.spectrum_tools import sweep, threshold_extrapolate
 
 from conftest import (
+    admissible_junction,
     dirichlet_edge_graph,
     dirichlet_lead,
     mirror_line,
     mirror_line_reflection,
     two_cross_network,
 )
-from test_graph_solver import admissible_junction  # noqa: F401  (re-exported helper)
 from test_helmholtz_oracle import step_geometry
 
 
@@ -120,7 +120,7 @@ def test_criterion_4_spider_consistency():
             channels=channels,
             vertices=(
                 Vertex(1, tuple((c.id, "start") for c in channels),
-                       MatrixJunction(lam, tuple(map(tuple, t_v)))),
+                       MatrixJunction(lam, t_v)),
             ),
         )
         ns = solve_scattering(g, SolveRequest(lam, eps))

@@ -101,12 +101,20 @@ def test_roundtrip_all_junction_kinds():
         vertices=(
             Vertex(1, ((1, "start"), (2, "start")), Transparent()),
             Vertex(2, ((2, "end"), (3, "start")), MatrixJunction(2.0, ((0j, 1 + 0j), (1 + 0j, 0j)))),
-            Vertex(3, ((4, "start"),), TabulatedJunction(((1.5, ((-1 + 0j,),)), (2.5, ((-0.5 + 0.1j,),))))),
+            Vertex(3, ((4, "start"),), TabulatedJunction([1.5, 2.5], [[[-1 + 0j]], [[-0.5 + 0.1j]]])),
             Vertex(4, ((5, "start"),), OracleJunction(geom)),
         ),
     )
     g2 = graph_from_json(json.loads(json.dumps(graph_to_json(g))))
-    assert g2 == g
+    assert graph_to_json(g2) == graph_to_json(g)
+    assert g2.channels == g.channels
+    for v2, v in zip(g2.vertices, g.vertices, strict=True):
+        assert (v2.id, v2.ends, type(v2.junction)) == (v.id, v.ends, type(v.junction))
+    j2, j = g2.vertices[1].junction, g.vertices[1].junction
+    assert j2.lam == j.lam and np.array_equal(j2.matrix, j.matrix)
+    j2, j = g2.vertices[2].junction, g.vertices[2].junction
+    assert np.array_equal(j2.lams, j.lams) and np.array_equal(j2.mats, j.mats)
+    assert g2.vertices[3].junction == g.vertices[3].junction
 
 
 def test_solve_command(tmp_path, capsys):
@@ -405,6 +413,105 @@ def test_malformed_input_exits_invalid(tmp_path, capsys, argv, bad):
     err = capsys.readouterr().err
     assert rc == EXIT_INVALID
     assert bad in err
+
+
+# -I at lambda = 5 on a lead of width pi (two modes), as [re, im] pairs
+MINUS_I = [[[-1, 0], [0, 0]], [[0, 0], [-1, 0]]]
+
+
+def matrix(m):
+    return {"kind": "matrix", "lambda": 5.0, "matrix": m}
+
+
+def with_first_entry(entry):
+    return matrix([[entry, MINUS_I[0][1]], MINUS_I[1]])
+
+
+def table(*mats):
+    return {"kind": "tabulated", "table": [{"lambda": 4.5 + i, "matrix": m} for i, m in enumerate(mats)]}
+
+
+@pytest.mark.parametrize(
+    "junction, want",
+    [
+        (matrix(MINUS_I), EXIT_OK),
+        (matrix([[[True, False], [False, False]], [[False, False], [True, False]]]), EXIT_OK),
+        (with_first_entry([math.nan, 0]), EXIT_NUMERIC),  # parsed, then the solve is refused
+        (table(MINUS_I, MINUS_I), EXIT_OK),
+        (with_first_entry([None, 0]), EXIT_INVALID),
+        (with_first_entry(None), EXIT_INVALID),
+        (with_first_entry(["abc", 0]), EXIT_INVALID),
+        (with_first_entry([-1]), EXIT_INVALID),
+        (with_first_entry([-1, 0, 0]), EXIT_INVALID),
+        (matrix([MINUS_I[0], MINUS_I[1][:1]]), EXIT_INVALID),
+        (matrix(MINUS_I[:1]), EXIT_INVALID),
+        (with_first_entry("abc"), EXIT_INVALID),
+        (with_first_entry({}), EXIT_INVALID),
+        (matrix(5), EXIT_INVALID),
+        (matrix("abc"), EXIT_INVALID),
+        (matrix({}), EXIT_INVALID),
+        (table(MINUS_I, [[[-1, 0]]]), EXIT_INVALID),
+        (matrix([[-1, 0], [0, -1]]), EXIT_INVALID),
+        (with_first_entry(["-1", 0]), EXIT_INVALID),
+        (with_first_entry(-1), EXIT_INVALID),
+    ],
+    ids=[
+        "pairs", "bool-pairs", "nan-pair", "two-sample-table",
+        "none-in-pair", "none-entry", "string-in-pair", "pair-of-one", "pair-of-three", "ragged-rows",
+        "not-square", "string-entry", "object-entry", "scalar-matrix", "string-matrix", "object-matrix",
+        "table-sizes-differ", "bare-reals", "numeric-string-in-pair", "bare-real-among-pairs",
+    ],
+)
+def test_junction_matrix_input_forms(tmp_path, capsys, junction, want):
+    rc = main(["solve", "--graph", one_vertex_graph_json(tmp_path, junction), "--lambda", "5", "--eps", "0.1"])
+    out, err = capsys.readouterr()
+    assert rc == want, err
+    if want == EXIT_OK:
+        assert json.loads(out)["certified"] is True
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["solve", "--lambda", "2", "--eps", "0.1"],
+        ["sweep", "--lo", "1.5", "--hi", "2.5", "--steps", "4", "--eps", "0.1", "--out", "{out}"],
+        ["network-validate", "--lambda", "2", "--eps", "1"],
+        ["check", "--lambda", "2", "--eps", "0.1"],
+    ],
+    ids=["solve", "sweep", "network-validate", "check"],
+)
+def test_empty_table_exits_invalid(tmp_path, capsys, command):
+    graph = one_vertex_graph_json(tmp_path, {"kind": "tabulated", "table": []})
+    argv = [a.format(out=tmp_path / "out.csv") for a in command]
+    rc = main(argv[:1] + ["--graph", graph] + argv[1:])
+    assert rc == EXIT_INVALID
+    assert "table_not_increasing" in capsys.readouterr().err
+
+
+def loop_graph_json(tmp_path, loop_junction):
+    """A lead on a Dirichlet vertex and a closed loop of width 1, which
+    carries no propagating mode at lambda = 2."""
+    lead = {"id": 1, "length": "inf", "cross_section": {"shape": "interval", "dims": [math.pi]}, "start": 1, "end": None}
+    loop = {"id": 2, "length": 1.0, "cross_section": {"shape": "interval", "dims": [1.0]}, "start": 2, "end": 2}
+    vertices = [
+        {"id": 1, "ends": [[1, "start"]], "junction": {"kind": "dirichlet"}},
+        {"id": 2, "ends": [[2, "start"], [2, "end"]], "junction": loop_junction},
+    ]
+    return write_json(tmp_path / "loop.json", {"channels": [lead, loop], "vertices": vertices})
+
+
+def test_empty_matrix_is_zero_by_zero(tmp_path, capsys):
+    ts = []
+    for junction in (
+        {"kind": "dirichlet"},
+        {"kind": "matrix", "lambda": 2.0, "matrix": []},
+        {"kind": "tabulated", "table": [{"lambda": 1.5, "matrix": []}, {"lambda": 2.5, "matrix": []}]},
+    ):
+        rc = main(["solve", "--graph", loop_graph_json(tmp_path, junction), "--lambda", "2", "--eps", "0.1"])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_OK, err
+        ts.append(json.loads(out)["t"])
+    assert ts == [[[[-1.0, 0.0]]]] * 3
 
 
 def test_exit_codes_parse_and_io(tmp_path, capsys):

@@ -71,13 +71,9 @@ def test_end_owned_twice():
 
 
 def test_tabulated_table_must_increase():
-    table = (
-        (2.0, ((1.0 + 0j,),)),
-        (1.5, ((1.0 + 0j,),)),
-    )
     g = MetricGraph(
         channels=(Channel(1, math.inf, Interval(math.pi), 1, None),),
-        vertices=(Vertex(1, ((1, "start"),), TabulatedJunction(table)),),
+        vertices=(Vertex(1, ((1, "start"),), TabulatedJunction([2.0, 1.5], [[[1.0]], [[1.0]]])),),
     )
     assert "table_not_increasing" in [v.code for v in validate_graph(g)]
 

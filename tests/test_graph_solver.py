@@ -34,7 +34,6 @@ from fiberwave.graph_solver import (
     _estimate_rcond,
     _oracle_matrix,
     SolveRequest,
-    admissible_junction,
     assemble_system,
     boundary_value_matrices,
     energy_report,
@@ -42,13 +41,13 @@ from fiberwave.graph_solver import (
     propagation_phase,
     resolve_vertex,
     solve_scattering,
-    symmetric_unitary,
     wave_fields,
 )
 from fiberwave.helmholtz_oracle import duct_geometry, junction_matrix
 
 from conftest import (
     W_PI,
+    admissible_junction,
     dirichlet_edge_graph,
     dirichlet_lead,
     fabry_perot_line,
@@ -58,6 +57,7 @@ from conftest import (
     mirror_line_reflection,
     mp_phase_factor,
     random_network,
+    symmetric_unitary,
     transparent_pair,
 )
 
@@ -107,14 +107,26 @@ def test_resolve_matrix_wrong_dimension():
         resolve_vertex(g, g.vertices[0], 5.0)  # two modes propagate, matrix is 1x1
 
 
+def test_matrix_junction_keeps_a_read_only_copy():
+    arr = np.array([[-1 + 0j]])
+    j = MatrixJunction(2.0, arr)
+    g = MetricGraph(
+        channels=(Channel(1, math.inf, W_PI, 1, None),),
+        vertices=(Vertex(1, ((1, "start"),), j),),
+    )
+    assert solve_scattering(g, SolveRequest(2.0, 0.1)).t[0, 0] == -1
+    assert arr.flags.writeable and not j.matrix.flags.writeable
+    arr[0, 0] = 5.0
+    assert j.matrix[0, 0] == -1
+
+
 def test_tabulated_interpolates_linearly_in_z():
     # entries equal to z = sqrt(lam - 1): linear in z, not in lam
     lam0 = 1.0
     zs = (0.2, 0.4)
-    table = tuple((lam0 + z * z, ((complex(z),),)) for z in zs)
     g = MetricGraph(
         channels=(Channel(1, math.inf, W_PI, 1, None),),
-        vertices=(Vertex(1, ((1, "start"),), TabulatedJunction(table)),),
+        vertices=(Vertex(1, ((1, "start"),), TabulatedJunction([lam0 + z * z for z in zs], [[[z]] for z in zs])),),
     )
     lam_mid = lam0 + 0.3**2
     res = resolve_vertex(g, g.vertices[0], lam_mid)
@@ -127,13 +139,14 @@ def test_tabulated_z_chart_floor_is_lowest_threshold_of_the_ends():
     # the wide channel opens at 1, the narrow one at 2.25: below 2.25 the
     # vertex is 1 x 1 and the chart is z = sqrt(lam - 1)
     zs = (0.2, 0.4)
-    table = tuple((1.0 + z * z, ((complex(z),),)) for z in zs)
     g = MetricGraph(
         channels=(
             Channel(1, math.inf, Interval(math.pi / 1.5), 1, None),
             Channel(2, math.inf, W_PI, 1, None),
         ),
-        vertices=(Vertex(1, ((1, "start"), (2, "start")), TabulatedJunction(table)),),
+        vertices=(
+            Vertex(1, ((1, "start"), (2, "start")), TabulatedJunction([1.0 + z * z for z in zs], [[[z]] for z in zs])),
+        ),
     )
     res = resolve_vertex(g, g.vertices[0], 1.0 + 0.3**2)
     assert res.entries == ((2, "start", 0),)
@@ -404,7 +417,7 @@ def test_spider_consistency_random():
         t_v = admissible_junction(np.array(ks), rng)
         g = MetricGraph(
             channels=channels,
-            vertices=(Vertex(1, ends, MatrixJunction(lam, tuple(map(tuple, t_v)))),),
+            vertices=(Vertex(1, ends, MatrixJunction(lam, t_v)),),
         )
         ns = solve_scattering(g, SolveRequest(lam, eps))
         res = resolve_vertex(g, g.vertices[0], lam)
