@@ -10,7 +10,7 @@ Subpackages:
 - cli:            command-line front end
 """
 
-from .cross_section import Disk, Interval, ModeTable, Rectangle, lambda0, mode_table
+from .cross_section import Disk, Interval, Rectangle, lambda0
 from .graph_model import (
     Channel,
     Dirichlet,
@@ -45,7 +45,6 @@ __all__ = [
     "Interval",
     "MatrixJunction",
     "MetricGraph",
-    "ModeTable",
     "NetworkScattering",
     "OracleJunction",
     "Rectangle",
@@ -58,7 +57,6 @@ __all__ = [
     "gc_residual",
     "global_ordering",
     "lambda0",
-    "mode_table",
     "resolve_vertex",
     "solve_scattering",
     "validate_graph",

@@ -4,7 +4,7 @@ Every channel of the network carries a transverse shape; the Dirichlet
 eigenvalues of that shape are the propagation thresholds: the n-th mode
 travels along the channel iff the spectral parameter exceeds the n-th
 eigenvalue.  Three analytic shapes are supported (interval, rectangle,
-disk) so every threshold and eigenfunction is exactly checkable.
+disk) so every threshold is exactly checkable.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
-from scipy.special import jn_zeros, jv
+from scipy.special import jn_zeros
 
-from .errors import NoInfiniteChannels, OutOfDomain, ThresholdCollision
+from .errors import NoInfiniteChannels, ThresholdCollision
 
 #: Relative half-width of the exclusion window around each threshold.
 THRESHOLD_RTOL = 1e-9
@@ -64,9 +64,6 @@ def _checked_dims(shape: CrossSectionShape) -> tuple[float, ...]:
     return dims
 
 
-# Mode descriptors: Interval -> n; Rectangle -> (p, q); Disk -> (m, k, parity)
-# with parity 0 = cos(m theta), 1 = sin(m theta).
-
 #: Entries kept by the Bessel-zero cache.  Its keys are (order, index)
 #: pairs, which do not depend on the radius, so one request touches a few
 #: dozen of them however many distinct disks its channels carry, and a
@@ -79,15 +76,14 @@ def _bessel_zero(m: int, k: int) -> float:
     return float(jn_zeros(m, k)[-1])
 
 
-def _modes(shape: CrossSectionShape, level: float) -> list[tuple]:
-    """Every mode with eigenvalue <= level as (eigenvalue, *descriptor),
-    ascending; equal eigenvalues are ordered by descriptor."""
+def _modes(shape: CrossSectionShape, level: float) -> list[float]:
+    """Every eigenvalue <= level, ascending, with multiplicity."""
     _checked_dims(shape)
     modes = []
     if isinstance(shape, Interval):
-        n = 0
-        while (lam := ((n + 1) * math.pi / shape.width) ** 2) <= level:
-            modes.append((lam, n))
+        n = 1
+        while (lam := (n * math.pi / shape.width) ** 2) <= level:
+            modes.append(lam)
             n += 1
     elif isinstance(shape, Rectangle):
         a, b = shape.side_a, shape.side_b
@@ -95,7 +91,7 @@ def _modes(shape: CrossSectionShape, level: float) -> list[tuple]:
         while math.pi**2 * (p**2 / a**2 + 1 / b**2) <= level:
             q = 1
             while (lam := math.pi**2 * (p**2 / a**2 + q**2 / b**2)) <= level:
-                modes.append((lam, p, q))
+                modes.append(lam)
                 q += 1
             p += 1
     else:
@@ -106,19 +102,11 @@ def _modes(shape: CrossSectionShape, level: float) -> list[tuple]:
         while (_bessel_zero(m, 1) / shape.radius) ** 2 <= level:
             k = 1
             while (lam := (_bessel_zero(m, k) / shape.radius) ** 2) <= level:
-                modes += [(lam, m, k, parity) for parity in range(1 if m == 0 else 2)]
+                modes += [lam] * (1 if m == 0 else 2)
                 k += 1
             m += 1
     modes.sort()
     return modes
-
-
-def _first_modes(shape: CrossSectionShape, count: int) -> list[tuple]:
-    """The `count` lowest modes, raising the level until enough lie below."""
-    level = (math.pi / min(_checked_dims(shape))) ** 2
-    while len(modes := _modes(shape, level)) < count:
-        level *= 2
-    return modes[:count]
 
 
 def thresholds(shape: CrossSectionShape, count: int) -> list[float]:
@@ -131,7 +119,11 @@ def thresholds(shape: CrossSectionShape, count: int) -> list[float]:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    return [mode[0] for mode in _first_modes(shape, count)]
+    # raise the level until enough eigenvalues lie below it
+    level = (math.pi / min(_checked_dims(shape))) ** 2
+    while len(ths := _modes(shape, level)) < count:
+        level *= 2
+    return ths[:count]
 
 
 def threshold_window(lam: float) -> float:
@@ -151,7 +143,7 @@ def thresholds_below(shape: CrossSectionShape, lam: float) -> list[float]:
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam!r}")
     tol = threshold_window(lam)
-    ths = [mode[0] for mode in _modes(shape, lam + tol)]
+    ths = _modes(shape, lam + tol)
     for t in ths:
         if abs(lam - t) < tol:
             raise ThresholdCollision(
@@ -166,67 +158,6 @@ def propagating_count(shape: CrossSectionShape, lam: float) -> int:
     Zero when lam sits below the first threshold.
     """
     return len(thresholds_below(shape, lam))
-
-
-def eigenfunction(shape: CrossSectionShape, n: int, y) -> float:
-    """Value of the n-th L2-normalized Dirichlet eigenfunction at y.
-
-    y is a scalar for Interval and a pair of coordinates for Rectangle and
-    Disk.  Points on the boundary evaluate to 0; points outside raise
-    OutOfDomain.
-    """
-    if n < 0:
-        raise ValueError("mode index must be >= 0")
-    mode = _first_modes(shape, n + 1)[n]
-    if isinstance(shape, Interval):
-        w = shape.width
-        y = float(y)
-        if not 0 <= y <= w:
-            raise OutOfDomain(f"{y!r} outside interval (0, {w!r})")
-        return math.sqrt(2.0 / w) * math.sin((mode[1] + 1) * math.pi * y / w)
-    if isinstance(shape, Rectangle):
-        a, b = shape.side_a, shape.side_b
-        y1, y2 = float(y[0]), float(y[1])
-        if not (0 <= y1 <= a and 0 <= y2 <= b):
-            raise OutOfDomain(f"({y1!r}, {y2!r}) outside rectangle {a!r} x {b!r}")
-        _, p, q = mode
-        return (
-            2.0
-            / math.sqrt(a * b)
-            * math.sin(p * math.pi * y1 / a)
-            * math.sin(q * math.pi * y2 / b)
-        )
-    r = shape.radius
-    y1, y2 = float(y[0]), float(y[1])
-    rho = math.hypot(y1, y2)
-    if rho > r:
-        raise OutOfDomain(f"({y1!r}, {y2!r}) outside disk of radius {r!r}")
-    theta = math.atan2(y2, y1)
-    _, m, k, parity = mode
-    z = _bessel_zero(m, k)
-    # ||J_m(z rho / r) trig(m theta)||^2 = (r^2/2) J_{m+1}(z)^2 * (2pi or pi)
-    ang = 2.0 * math.pi if m == 0 else math.pi
-    norm = math.sqrt(ang * r**2 / 2.0) * abs(jv(m + 1, z))
-    radial = jv(m, z * rho / r)
-    trig = math.cos(m * theta) if parity == 0 else math.sin(m * theta)
-    return float(radial * trig / norm)
-
-
-@dataclass(frozen=True)
-class ModeTable:
-    """Thresholds and eigenfunction evaluators of one cross-section."""
-
-    shape: CrossSectionShape
-    thresholds: tuple[float, ...]
-
-    def eigenfunction(self, n: int, y) -> float:
-        if n >= len(self.thresholds):
-            raise ValueError(f"mode {n} not tabulated (have {len(self.thresholds)})")
-        return eigenfunction(self.shape, n, y)
-
-
-def mode_table(shape: CrossSectionShape, count: int) -> ModeTable:
-    return ModeTable(shape=shape, thresholds=tuple(thresholds(shape, count)))
 
 
 def lambda0(graph) -> float:

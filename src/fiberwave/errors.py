@@ -15,10 +15,6 @@ class NoInfiniteChannels(FiberwaveError):
     """The graph has no infinite channel, so no scattering problem exists."""
 
 
-class OutOfDomain(FiberwaveError):
-    """A point lies outside the cross-section it was evaluated on."""
-
-
 class GraphInvalid(FiberwaveError):
     """The metric graph violates structural invariants.
 

@@ -1,10 +1,9 @@
-"""Cross-section spectra: closed forms, Bessel oracle, orthonormality."""
+"""Cross-section spectra: closed forms, Bessel oracle, mode counts."""
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
@@ -13,14 +12,12 @@ from fiberwave.cross_section import (
     Disk,
     Interval,
     Rectangle,
-    eigenfunction,
     lambda0,
-    mode_table,
     propagating_count,
     thresholds,
     thresholds_below,
 )
-from fiberwave.errors import NoInfiniteChannels, OutOfDomain, ThresholdCollision
+from fiberwave.errors import NoInfiniteChannels, ThresholdCollision
 from fiberwave.graph_model import Channel, MetricGraph, Vertex, Dirichlet
 
 from conftest import dirichlet_lead
@@ -72,20 +69,6 @@ def test_disk_threshold_matches_bessel_oracle():
     assert abs(got - DISK_LAMBDA0) <= 1e-12 * DISK_LAMBDA0
     # J0(sqrt(lambda0)) = 0 within 1e-10
     assert abs(_j0_series(math.sqrt(got))) <= 1e-10
-
-
-def test_eigenfunction_values():
-    w = math.pi
-    assert math.isclose(eigenfunction(Interval(w), 0, w / 2), math.sqrt(2 / math.pi), rel_tol=1e-15)
-    assert eigenfunction(Interval(w), 0, 0.0) == 0.0
-    assert math.isclose(eigenfunction(Rectangle(1, 1), 0, (0.5, 0.5)), 2.0, rel_tol=1e-15)
-
-
-def test_eigenfunction_out_of_domain():
-    with pytest.raises(OutOfDomain):
-        eigenfunction(Interval(math.pi), 0, -0.1)
-    with pytest.raises(OutOfDomain):
-        eigenfunction(Disk(1.0), 0, (1.2, 0.0))
 
 
 def test_propagating_count():
@@ -168,54 +151,9 @@ def test_lambda0_requires_infinite_channel():
     assert lambda0(dirichlet_lead()) == 1.0
 
 
-def _gauss_legendre(n: int, a: float, b: float):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
-
-
-def _composite_gl(points_per_panel: int, panels: int, a: float, b: float):
-    xs, ws = [], []
-    edges = np.linspace(a, b, panels + 1)
-    x0, w0 = np.polynomial.legendre.leggauss(points_per_panel)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        xs.append(0.5 * (hi - lo) * x0 + 0.5 * (lo + hi))
-        ws.append(0.5 * (hi - lo) * w0)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
-@pytest.mark.parametrize("shape", [Interval(math.pi), Rectangle(1.0, 1.5), Disk(1.0)])
-def test_gram_matrix_orthonormal(shape):
-    """Gram matrix of the first 8 eigenfunctions under ~1e4-point quadrature
-    deviates from identity by <= 1e-8 in max norm."""
-    table = mode_table(shape, 8)
-    if isinstance(shape, Interval):
-        xs, ws = _composite_gl(100, 100, 0.0, shape.width)  # 1e4 nodes
-        vals = np.array([[table.eigenfunction(n, x) for x in xs] for n in range(8)])
-        gram = (vals * ws) @ vals.T
-    elif isinstance(shape, Rectangle):
-        xs, wx = _gauss_legendre(100, 0.0, shape.side_a)
-        ys, wy = _gauss_legendre(100, 0.0, shape.side_b)
-        vals = np.array(
-            [[[table.eigenfunction(n, (x, y)) for y in ys] for x in xs] for n in range(8)]
-        )
-        gram = np.einsum("nxy,mxy,x,y->nm", vals, vals, wx, wy)
-    else:
-        rs, wr = _gauss_legendre(100, 0.0, shape.radius)
-        ts = np.linspace(0.0, 2 * math.pi, 100, endpoint=False)
-        wt = 2 * math.pi / len(ts)
-        vals = np.array(
-            [
-                [[table.eigenfunction(n, (r * math.cos(t), r * math.sin(t))) for t in ts] for r in rs]
-                for n in range(8)
-            ]
-        )
-        gram = np.einsum("nrt,mrt,r->nm", vals, vals, wr * rs) * wt
-    assert np.max(np.abs(gram - np.eye(8))) <= 1e-8
-
-
 def test_mode_table_thresholds_ascending():
     for shape in (Interval(2.0), Rectangle(1.0, 2.0), Disk(1.5)):
-        t = mode_table(shape, 10).thresholds
+        t = thresholds(shape, 10)
         assert all(a <= b for a, b in zip(t, t[1:]))
         assert all(v > 0 for v in t)
 
@@ -260,13 +198,10 @@ def test_disk_enumeration_does_not_depend_on_radius(monkeypatch):
     ids=["interval_inf", "rectangle_negative", "disk_nan"],
 )
 def test_bad_dimensions_raise_at_every_entry_point(shape):
-    y = 0.0 if isinstance(shape, Interval) else (0.0, 0.0)
     for call in (
         lambda: thresholds(shape, 3),
         lambda: thresholds_below(shape, 2.0),
         lambda: propagating_count(shape, 2.0),
-        lambda: eigenfunction(shape, 0, y),
-        lambda: mode_table(shape, 3),
     ):
         with pytest.raises(ValueError, match="dimensions must be positive"):
             call()
