@@ -80,7 +80,7 @@ def _matrix_in(rows) -> np.ndarray:
         raise ParseError(
             f"expected a matrix of [re, im] number pairs, got an array of shape {a.shape} and dtype {a.dtype}"
         )
-    return a.astype(float).view(complex)[..., 0]
+    return a.astype(float, copy=False).view(complex)[..., 0]
 
 
 def shape_to_json(shape) -> dict:
