@@ -180,6 +180,8 @@ def _junction_violations(v: Vertex, g: MetricGraph) -> list[Violation]:
         m = j.matrix
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             out.append(Violation("matrix_not_square", subject, f"junction matrix has shape {m.shape}"))
+        if not np.all(np.isfinite(m)):
+            out.append(Violation("non_finite_entry", subject, "junction matrix has a NaN or infinite entry"))
     elif isinstance(j, TabulatedJunction):
         lams, mats = j.lams, j.mats
         if lams.ndim != 1 or not lams.size or np.any(lams[1:] <= lams[:-1]):
@@ -194,6 +196,8 @@ def _junction_violations(v: Vertex, g: MetricGraph) -> list[Violation]:
                     f"tabulated matrices have shape {mats.shape}, expected one square matrix per lambda",
                 )
             )
+        if not np.all(np.isfinite(mats)):
+            out.append(Violation("non_finite_entry", subject, "tabulated matrices have a NaN or infinite entry"))
     return out
 
 

@@ -178,14 +178,23 @@ def _refine_dip(g: MetricGraph, eps: float, a: float, m: float, b: float) -> tup
     float spacing; in a cell with no real zero it is a smooth minimum or a
     cell end, and the caller compares its depth with the grid node's.
     """
-    evals: dict[float, tuple] = {}  # every factor of the cell, freed on return
+    # log|det A|, lam, matrix and factor of the lowest sample so far: with
+    # the factor being made, at most two factors are alive at once
+    lowest: tuple = (math.inf, None, None, None)
 
     def log_d(lam: float) -> float:
-        evals[lam] = _factor(g, lam, eps)
-        return _log_abs_det(evals[lam][1])
+        nonlocal lowest
+        matrix, lu = _factor(g, lam, eps)
+        log_det = _log_abs_det(lu)
+        if log_det < lowest[0]:
+            lowest = (log_det, lam, matrix, lu)
+        return log_det
 
     lam_star = _v_bottom(log_d, a, m, b)  # always one of the sampled points
-    return lam_star, _rcond(*evals[lam_star])
+    _, lam_low, matrix, lu = lowest
+    if lam_low != lam_star:  # the lowest samples tie (all singular, say)
+        matrix, lu = _factor(g, lam_star, eps)
+    return lam_star, _rcond(matrix, lu)
 
 
 def _rcond(matrix, lu) -> float:

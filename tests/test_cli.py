@@ -436,7 +436,9 @@ def table(*mats):
     [
         (matrix(MINUS_I), EXIT_OK),
         (matrix([[[True, False], [False, False]], [[False, False], [True, False]]]), EXIT_OK),
-        (with_first_entry([math.nan, 0]), EXIT_NUMERIC),  # parsed, then the solve is refused
+        (with_first_entry([math.nan, 0]), EXIT_INVALID),
+        (with_first_entry([0, math.inf]), EXIT_INVALID),
+        (table(MINUS_I, [[[-1, 0], [0, 0]], [[0, 0], [math.nan, 0]]]), EXIT_INVALID),
         (table(MINUS_I, MINUS_I), EXIT_OK),
         (with_first_entry([None, 0]), EXIT_INVALID),
         (with_first_entry(None), EXIT_INVALID),
@@ -456,7 +458,7 @@ def table(*mats):
         (with_first_entry(-1), EXIT_INVALID),
     ],
     ids=[
-        "pairs", "bool-pairs", "nan-pair", "two-sample-table",
+        "pairs", "bool-pairs", "nan-pair", "inf-pair", "nan-in-table", "two-sample-table",
         "none-in-pair", "none-entry", "string-in-pair", "pair-of-one", "pair-of-three", "ragged-rows",
         "not-square", "string-entry", "object-entry", "scalar-matrix", "string-matrix", "object-matrix",
         "table-sizes-differ", "bare-reals", "numeric-string-in-pair", "bare-real-among-pairs",
@@ -470,7 +472,8 @@ def test_junction_matrix_input_forms(tmp_path, capsys, junction, want):
         assert json.loads(out)["certified"] is True
 
 
-@pytest.mark.parametrize(
+# every subcommand that reads a graph, with {out} for an output path
+GRAPH_COMMANDS = pytest.mark.parametrize(
     "command",
     [
         ["solve", "--lambda", "2", "--eps", "0.1"],
@@ -480,12 +483,24 @@ def test_junction_matrix_input_forms(tmp_path, capsys, junction, want):
     ],
     ids=["solve", "sweep", "network-validate", "check"],
 )
+
+
+@GRAPH_COMMANDS
 def test_empty_table_exits_invalid(tmp_path, capsys, command):
     graph = one_vertex_graph_json(tmp_path, {"kind": "tabulated", "table": []})
     argv = [a.format(out=tmp_path / "out.csv") for a in command]
     rc = main(argv[:1] + ["--graph", graph] + argv[1:])
     assert rc == EXIT_INVALID
     assert "table_not_increasing" in capsys.readouterr().err
+
+
+@GRAPH_COMMANDS
+def test_non_finite_junction_entry_exits_invalid(tmp_path, capsys, command):
+    graph = one_vertex_graph_json(tmp_path, matrix([[[math.nan, 0]]]))  # one mode at lambda = 2
+    argv = [a.format(out=tmp_path / "out.csv") for a in command]
+    rc = main(argv[:1] + ["--graph", graph] + argv[1:])
+    assert rc == EXIT_INVALID
+    assert "non_finite_entry" in capsys.readouterr().err
 
 
 def loop_graph_json(tmp_path, loop_junction):

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from fiberwave import helmholtz_oracle
 from fiberwave.cross_section import Interval
@@ -215,12 +216,41 @@ def test_grid_budget(monkeypatch):
 
 
 def test_singular_factorization_is_non_converged(monkeypatch):
-    def singular(mat):
+    def singular(mat, **kw):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(helmholtz_oracle, "splu", singular)
     with pytest.raises(NonConvergedSolve, match="exactly singular"):
         junction_matrix(duct_geometry(W, 2 * W, math.pi / 16), LAM)
+
+
+class _PerturbedFactor:
+    """A SuperLU factor whose solve returns its true block plus `delta`."""
+
+    def __init__(self, lu, delta):
+        self._lu, self._delta = lu, delta
+
+    def solve(self, b):
+        return self._lu.solve(b) + self._delta
+
+
+@pytest.mark.parametrize("delta", [1e-6, math.nan], ids=["perturbed", "non-finite"])
+def test_single_solve_keeps_residual_gate(monkeypatch, delta):
+    """With no refinement step after it, the one block solve is what the
+    residual and finiteness test sees."""
+    real_splu = helmholtz_oracle.splu
+    monkeypatch.setattr(helmholtz_oracle, "splu", lambda mat, **kw: _PerturbedFactor(real_splu(mat, **kw), delta))
+    with pytest.raises(NonConvergedSolve, match="discrete solve residual"):
+        junction_matrix(cross_geometry(W, 2 * W, math.pi / 16), LAM)
+
+
+def test_oracle_factor_fill_below_default_ordering():
+    """The minimum-degree order on A^T + A suits the nearly symmetric
+    stencil: on the pi/32 two-cross network at eps = 1/2 its factor holds
+    at most 0.7 of the L + U entries of scipy's default (COLAMD) order."""
+    solver = _HelmholtzSolver(network_geometry(two_cross_network(math.pi / 2, math.pi / 32), 0.5), LAM)
+    default = splu(solver.matrix)
+    assert solver.lu.L.nnz + solver.lu.U.nnz <= 0.7 * (default.L.nnz + default.U.nnz)
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +365,9 @@ def test_network_block_solve_matches_column_solves(monkeypatch):
     factored = []
     real_splu = helmholtz_oracle.splu
 
-    def counting_splu(mat):
+    def counting_splu(mat, **kw):
         factored.append(mat.shape)
-        return real_splu(mat)
+        return real_splu(mat, **kw)
 
     monkeypatch.setattr(helmholtz_oracle, "splu", counting_splu)
     t = solve_network(g, LAM, 0.5)
