@@ -259,12 +259,7 @@ def _dump_json(payload: dict, path: str | None) -> None:
 
 def _cmd_solve(args) -> int:
     g = load_graph(args.graph)
-    ns = solve_scattering(
-        g,
-        SolveRequest(lam=args.lam, eps=args.eps),
-        allow_flagged=args.allow_flagged,
-        rcond_tol=args.rcond_tol,
-    )
+    ns = solve_scattering(g, SolveRequest(lam=args.lam, eps=args.eps), allow_flagged=args.allow_flagged)
     er = energy_report(ns)
     payload = {
         "lambda": ns.lam,
@@ -278,22 +273,15 @@ def _cmd_solve(args) -> int:
         "max_flux_cross": er.max_cross,
     }
     _dump_json(payload, args.out)
-    return EXIT_OK if (ns.certified or args.allow_flagged) else EXIT_NUMERIC
+    return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     g = load_graph(args.graph)
-    sr = sweep(
-        g,
-        args.eps,
-        args.lo,
-        args.hi,
-        args.steps,
-        flag_tol=args.flag_tol,
-    )
+    sr = sweep(g, args.eps, args.lo, args.hi, args.steps)
     export_spectrum(sr, args.out)
     for lam_star, depth in sr.dips:
-        if depth < sr.flag_tol:
+        if depth < RCOND_TOL:
             sys.stderr.write(f"resonance at lambda={lam_star!r}: rcond {depth:.3e}\n")
     flagged = [r for r in sr.rows if not r.certified]
     if flagged:
@@ -435,7 +423,7 @@ def _cmd_check(args) -> int:
         print(f"{name:32s} {value:12.3e}  <= {threshold:.1e}  {'PASS' if ok else 'FAIL'}")
     if not ns.certified:
         print("solve not certified (resonance flag)")
-    return EXIT_OK if all_ok and (ns.certified or args.allow_flagged) else EXIT_NUMERIC
+    return EXIT_OK if all_ok else EXIT_NUMERIC
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--rcond-tol", type=float, default=RCOND_TOL)
     p.add_argument("--out", help="output JSON path (default: stdout)")
 
     p = sub.add_parser("sweep", help="lambda sweep to CSV")
@@ -462,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--flag-tol", type=float, default=RCOND_TOL)
     p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
     p.add_argument("--out", required=True, help="output CSV path")
 

@@ -178,12 +178,16 @@ def _junction_violations(v: Vertex, g: MetricGraph) -> list[Violation]:
                 )
     elif isinstance(j, MatrixJunction):
         m = j.matrix
+        if not math.isfinite(j.lam):
+            out.append(Violation("non_finite_lambda", subject, f"junction lambda is {j.lam!r}"))
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             out.append(Violation("matrix_not_square", subject, f"junction matrix has shape {m.shape}"))
         if not np.all(np.isfinite(m)):
             out.append(Violation("non_finite_entry", subject, "junction matrix has a NaN or infinite entry"))
     elif isinstance(j, TabulatedJunction):
         lams, mats = j.lams, j.mats
+        if not np.all(np.isfinite(lams)):
+            out.append(Violation("non_finite_lambda", subject, "tabulated lambdas have a NaN or infinite entry"))
         if lams.ndim != 1 or not lams.size or np.any(lams[1:] <= lams[:-1]):
             out.append(
                 Violation("table_not_increasing", subject, "tabulated lambdas must be non-empty and strictly increasing")

@@ -139,6 +139,7 @@ class NetworkScattering:
     eps: float
     rcond: float
     certified: bool
+    log_abs_det: float  # log|det A| of the assembled system, -inf when exactly singular
     amplitudes: np.ndarray  # unknowns x M, one column per incident wave
     channel_slices: tuple[tuple[int, slice, slice], ...]  # (channel id, alpha columns, beta columns)
 
@@ -224,7 +225,7 @@ def _interpolate_table(v, j: TabulatedJunction, lam: float, floor: float) -> np.
     lams, mats = j.lams, j.mats
     if not lams[0] <= lam <= lams[-1]:
         raise UnresolvableJunction(
-            f"vertex {v.id}: lambda={lam!r} outside tabulated range [{lams[0]!r}, {lams[-1]!r}]"
+            f"vertex {v.id}: lambda={lam!r} outside tabulated range [{float(lams[0])!r}, {float(lams[-1])!r}]"
         )
     if len(mats) == 1 or floor == math.inf:
         return mats[0]
@@ -427,6 +428,15 @@ def lu_solve(lu, b: np.ndarray) -> np.ndarray:
     return lu.solve(b)
 
 
+def _log_abs_det(lu) -> float:
+    """log|det A| read off the SuperLU factor Pr A Pc = L U: L has a unit
+    diagonal and SuperLU does not equilibrate, so it is the sum of
+    log|U_ii|.  No factor (an exactly singular matrix) gives -inf."""
+    if lu is None:
+        return -math.inf
+    return float(np.sum(np.log(np.abs(lu.U.diagonal()))))
+
+
 def _estimate_rcond(a: sp.csc_matrix, lu, rng: np.random.Generator) -> float:
     """Estimate of sigma_min / sigma_max of the sparse matrix `a`, its 2-norm
     reciprocal condition number: 12 steps of power iteration on A^H A for
@@ -465,28 +475,23 @@ def _estimate_rcond(a: sp.csc_matrix, lu, rng: np.random.Generator) -> float:
     return 1.0 / (inv_smin * smax) if inv_smin > 0 else 1.0
 
 
-def solve_scattering(
-    g: MetricGraph,
-    req: SolveRequest,
-    *,
-    allow_flagged: bool = False,
-    rcond_tol: float = RCOND_TOL,
-) -> NetworkScattering:
+def solve_scattering(g: MetricGraph, req: SolveRequest, *, allow_flagged: bool = False) -> NetworkScattering:
     """Solve the graph scattering problem for all incident waves from one
     factorization.
 
     Returns the network scattering matrix together with the solved
-    amplitude block; wave_fields turns the block into per-incident wave
-    fields.  When the reciprocal condition estimate falls below `rcond_tol`
-    the result is not certified: NearSingular is raised unless
-    `allow_flagged` is set, in which case the flagged result is returned.
+    amplitude block and log|det A| of the factored system; wave_fields
+    turns the block into per-incident wave fields.  When the reciprocal
+    condition estimate falls below RCOND_TOL the result is not certified:
+    NearSingular is raised unless `allow_flagged` is set, in which case the
+    flagged result is returned.
     """
     system = assemble_system(g, req)
     a, b = system.matrix, system.rhs
 
-    x, rcond = np.full(b.shape, np.nan, dtype=complex), 0.0
+    x, rcond, log_abs_det = np.full(b.shape, np.nan, dtype=complex), 0.0, -math.inf
     if not a.shape[0]:
-        x, rcond = b.copy(), 1.0
+        x, rcond, log_abs_det = b.copy(), 1.0, 0.0
     else:
         with np.errstate(all="ignore"):
             try:
@@ -499,8 +504,12 @@ def solve_scattering(
                 # an exactly singular LU
                 if np.all(np.isfinite(y)):
                     x, rcond = y, _estimate_rcond(a, lu, np.random.default_rng(0x5EED))
+                # last: reading U makes SuperLU build and keep CSC copies of
+                # L and U (1.9 MB on a 10x10 lattice), which the solve and
+                # the estimate above would otherwise carry at their peak
+                log_abs_det = _log_abs_det(lu)
 
-    certified = bool(rcond >= rcond_tol)
+    certified = bool(rcond >= RCOND_TOL)
     if not certified and not allow_flagged:
         raise NearSingular(rcond, req.lam)
 
@@ -513,6 +522,7 @@ def solve_scattering(
         eps=req.eps,
         rcond=rcond,
         certified=certified,
+        log_abs_det=log_abs_det,
         amplitudes=x,
         channel_slices=plan.channel_slices,
     )

@@ -7,13 +7,14 @@ resonant set of the network (embedded eigenvalues of decoupled pieces)
 consists of isolated points where the system is exactly singular: simple
 real zeros of the analytic det A(lambda).  A grid node almost never lands
 on one, so each strict local minimum of the conditioning curve is refined
-to the bottom of |det A| between its grid neighbours, read off one sparse
-LU factor per lambda; at an embedded eigenvalue that bottom is a V-shaped
-zero, found by secant steps along the V's branches.  The flag threshold
-is applied to the reciprocal condition at the bottom.  A grid row is
-certified when the reciprocal condition over its grid cell - not just at
-its node - stays above the flag threshold and lambda is clear of
-thresholds.
+to the bottom of |det A| between its grid neighbours.  The grid solves
+supply log|det A| at the node and both neighbours, and every further
+sample is one sparse LU factor at an off-grid lambda; at an embedded
+eigenvalue that bottom is a V-shaped zero, found by secant steps along
+the V's branches.  RCOND_TOL is applied to the reciprocal condition at
+the bottom.  A grid row is certified when the reciprocal condition over
+its grid cell - not just at its node - stays above RCOND_TOL and lambda
+is clear of thresholds.
 """
 
 from __future__ import annotations
@@ -36,11 +37,12 @@ from .errors import (
     IntervalContainsThreshold,
     ThresholdCollision,
 )
-from .graph_model import MetricGraph, global_ordering
+from .graph_model import MetricGraph
 from .graph_solver import (
     RCOND_TOL,
     SolveRequest,
     _estimate_rcond,
+    _log_abs_det,
     assemble_system,
     energy_report,
     solve_scattering,
@@ -71,9 +73,7 @@ class SweepResult:
     rows: list[SweepRow]
     flagged_intervals: list[tuple[float, float]]
     dips: list[tuple[float, float]]
-    ordering_entries: tuple[tuple[int, int], ...]
     eps: float
-    flag_tol: float
 
 
 def _check_interval_clear(g: MetricGraph, lam_lo: float, lam_hi: float) -> None:
@@ -102,19 +102,11 @@ def _factor(g: MetricGraph, lam: float, eps: float):
         return matrix, None
 
 
-def _log_abs_det(lu) -> float:
-    """log|det A| read off the SuperLU factor Pr A Pc = L U: L has a unit
-    diagonal and SuperLU does not equilibrate, so it is the sum of
-    log|U_ii|.  No factor (an exactly singular matrix) gives -inf."""
-    if lu is None:
-        return -math.inf
-    return float(np.sum(np.log(np.abs(lu.U.diagonal()))))
-
-
-def _v_bottom(log_d, a: float, m: float, b: float) -> float:
+def _v_bottom(log_d, cell: Sequence[tuple[float, float]]) -> float:
     """Bottom of |det A| on the grid cell [a, b] around the dip node m,
-    from log_d(lam) = log|det A(lam)|, called on a, m, b and then on at
-    most _V_STEPS more points.
+    from the grid's samples cell = ((a, log|det A(a)|), (m, ...), (b, ...))
+    and log_d(lam) = log|det A(lam)|, called on at most _V_STEPS new points
+    inside the cell.
 
     At a simple real zero lam*, |det A| = |c(lam)| |lam - lam*| with c
     smooth: a V.  Of the two chords next to the lowest sample x, the one
@@ -130,11 +122,10 @@ def _v_bottom(log_d, a: float, m: float, b: float) -> float:
     value at x by less than _FLAT_REL of it (a smooth minimum, resolved,
     or no minimum at all).
     """
-    logs = [(lam, log_d(lam)) for lam in (a, m, b)]
-    ref = max(l for _, l in logs)  # |det A| is kept relative to the cell's largest
+    ref = max(l for _, l in cell)  # |det A| is kept relative to the cell's largest
     if ref == -math.inf:
-        return m
-    pts = [(lam, math.exp(l - ref)) for lam, l in logs]
+        return cell[1][0]
+    pts = [(lam, math.exp(l - ref)) for lam, l in cell]
     for _ in range(_V_STEPS):
         i = min(range(len(pts)), key=lambda j: pts[j][1])
         x, dx = pts[i]
@@ -167,9 +158,10 @@ def _v_bottom(log_d, a: float, m: float, b: float) -> float:
     return min(pts, key=lambda pt: pt[1])[0]
 
 
-def _refine_dip(g: MetricGraph, eps: float, a: float, m: float, b: float) -> tuple[float, float]:
+def _refine_dip(g: MetricGraph, eps: float, cell: Sequence[tuple[float, float, float]]) -> tuple[float, float]:
     """The bottom lam* of |det A| in the grid cell [a, b] around the dip
-    node m, and the 2-norm reciprocal condition there.
+    node m, and the 2-norm reciprocal condition there, from the grid's
+    (lam, log|det A|, rcond) at a, m and b.
 
     |det A| carries no phase, so the search does not depend on how fast
     the phase of det A turns across the cell: it turns with every broad
@@ -177,9 +169,11 @@ def _refine_dip(g: MetricGraph, eps: float, a: float, m: float, b: float) -> tup
     eigenvalue the bottom is an exact zero, which _v_bottom finds down to
     float spacing; in a cell with no real zero it is a smooth minimum or a
     cell end, and the caller compares its depth with the grid node's.
+    Only off-grid samples are factored here: at a grid node lam* the
+    reciprocal condition is the grid's own.
     """
-    # log|det A|, lam, matrix and factor of the lowest sample so far: with
-    # the factor being made, at most two factors are alive at once
+    # log|det A|, lam, matrix and factor of the lowest off-grid sample so
+    # far: with the factor being made, at most two factors are alive at once
     lowest: tuple = (math.inf, None, None, None)
 
     def log_d(lam: float) -> float:
@@ -190,7 +184,10 @@ def _refine_dip(g: MetricGraph, eps: float, a: float, m: float, b: float) -> tup
             lowest = (log_det, lam, matrix, lu)
         return log_det
 
-    lam_star = _v_bottom(log_d, a, m, b)  # always one of the sampled points
+    lam_star = _v_bottom(log_d, [(lam, log_det) for lam, log_det, _ in cell])  # one of the samples
+    for lam, _, rcond in cell:
+        if lam == lam_star:
+            return lam_star, rcond
     _, lam_low, matrix, lu = lowest
     if lam_low != lam_star:  # the lowest samples tie (all singular, say)
         matrix, lu = _factor(g, lam_star, eps)
@@ -210,8 +207,6 @@ def sweep(
     lam_lo: float,
     lam_hi: float,
     steps: int,
-    *,
-    flag_tol: float = RCOND_TOL,
 ) -> SweepResult:
     """Solve the graph on a uniform lambda grid and flag resonances.
 
@@ -221,7 +216,7 @@ def sweep(
     refined to the bottom of |det A| between its grid neighbours (the node
     itself when the bottom there is better conditioned than the node), and
     the grid rows within one step of it are flagged when the reciprocal
-    condition there falls below `flag_tol`.
+    condition there falls below RCOND_TOL.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
@@ -232,31 +227,31 @@ def sweep(
     lams = np.linspace(lam_lo, lam_hi, steps)
 
     rows = []
+    grid = []  # (lam, log|det A|, rcond) of each node as solved, before any dip lowers a row's rcond
     for lam in lams:
-        ns = solve_scattering(
-            g, SolveRequest(lam=float(lam), eps=eps), allow_flagged=True, rcond_tol=flag_tol
-        )
+        ns = solve_scattering(g, SolveRequest(lam=float(lam), eps=eps), allow_flagged=True)
         with np.errstate(invalid="ignore"):
             abs_t_sq = np.sum(np.abs(ns.t) ** 2, axis=0)
             flux = energy_report(ns).balance
         rows.append(SweepRow(float(lam), abs_t_sq, flux, ns.rcond, ns.certified))
+        grid.append((float(lam), ns.log_abs_det, ns.rcond))
 
     dips: list[tuple[float, float]] = []
     if steps >= 3:
         step = (lam_hi - lam_lo) / (steps - 1)
-        rc = np.array([r.rcond for r in rows])
+        rc = [rcond for _, _, rcond in grid]
         for i in range(1, steps - 1):
             if not (rc[i] < rc[i - 1] and rc[i] < rc[i + 1]):
                 continue
-            lam_star, dip = _refine_dip(g, eps, float(lams[i - 1]), float(lams[i]), float(lams[i + 1]))
+            lam_star, dip = _refine_dip(g, eps, grid[i - 1 : i + 2])
             if dip > rc[i]:  # no real zero of det A in the cell: the node is the bottom
-                lam_star, dip = float(lams[i]), float(rc[i])
+                lam_star, dip = grid[i][0], rc[i]
             dips.append((lam_star, dip))
-            if dip < flag_tol:
+            if dip < RCOND_TOL:
                 for j, row in enumerate(rows):
                     if abs(row.lam - lam_star) <= step:
                         rows[j].certified = False
-                        rows[j].rcond = min(rows[j].rcond, float(dip))
+                        rows[j].rcond = min(rows[j].rcond, dip)
 
     flagged: list[tuple[float, float]] = []
     run_start: Optional[float] = None
@@ -273,14 +268,7 @@ def sweep(
     if run_start is not None:
         flagged.append((run_start, prev_lam))
 
-    return SweepResult(
-        rows=rows,
-        flagged_intervals=flagged,
-        dips=dips,
-        ordering_entries=global_ordering(g, lam_lo).entries,
-        eps=eps,
-        flag_tol=flag_tol,
-    )
+    return SweepResult(rows=rows, flagged_intervals=flagged, dips=dips, eps=eps)
 
 
 @dataclass

@@ -472,6 +472,13 @@ def test_junction_matrix_input_forms(tmp_path, capsys, junction, want):
         assert json.loads(out)["certified"] is True
 
 
+def test_lambda_outside_table_names_plain_floats(tmp_path, capsys):
+    graph = one_vertex_graph_json(tmp_path, table(MINUS_I, MINUS_I))
+    rc = main(["solve", "--graph", graph, "--lambda", "2", "--eps", "0.1"])
+    assert rc == EXIT_NUMERIC
+    assert "lambda=2.0 outside tabulated range [4.5, 5.5]" in capsys.readouterr().err
+
+
 # every subcommand that reads a graph, with {out} for an output path
 GRAPH_COMMANDS = pytest.mark.parametrize(
     "command",
@@ -496,11 +503,17 @@ def test_empty_table_exits_invalid(tmp_path, capsys, command):
 
 @GRAPH_COMMANDS
 def test_non_finite_junction_entry_exits_invalid(tmp_path, capsys, command):
-    graph = one_vertex_graph_json(tmp_path, matrix([[[math.nan, 0]]]))  # one mode at lambda = 2
+    one_mode = [[[-1, 0]]]  # one mode at lambda = 2
     argv = [a.format(out=tmp_path / "out.csv") for a in command]
-    rc = main(argv[:1] + ["--graph", graph] + argv[1:])
-    assert rc == EXIT_INVALID
-    assert "non_finite_entry" in capsys.readouterr().err
+    for junction, code in [
+        (matrix([[[math.nan, 0]]]), "non_finite_entry"),
+        ({"kind": "matrix", "lambda": math.nan, "matrix": one_mode}, "non_finite_lambda"),
+        ({"kind": "tabulated", "table": [{"lambda": math.nan, "matrix": one_mode}]}, "non_finite_lambda"),
+        ({"kind": "matrix", "lambda": math.inf, "matrix": one_mode}, "non_finite_lambda"),
+    ]:
+        rc = main(argv[:1] + ["--graph", one_vertex_graph_json(tmp_path, junction)] + argv[1:])
+        assert rc == EXIT_INVALID, junction
+        assert code in capsys.readouterr().err
 
 
 def loop_graph_json(tmp_path, loop_junction):

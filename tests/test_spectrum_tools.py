@@ -16,11 +16,9 @@ from fiberwave.errors import (
     IntervalContainsThreshold,
 )
 from fiberwave.graph_model import Channel, Dirichlet, MetricGraph, Transparent, Vertex
-from fiberwave.graph_solver import RCOND_TOL, SolveRequest, assemble_system
+from fiberwave.graph_solver import RCOND_TOL, SolveRequest, assemble_system, solve_scattering
 from fiberwave.spectrum_tools import (
     _V_STEPS,
-    _factor,
-    _log_abs_det,
     _v_bottom,
     export_spectrum,
     sweep,
@@ -60,12 +58,9 @@ def test_sweep_flags_edge_eigenvalues():
         assert any(lo - step <= e <= hi + step for lo, hi in sr.flagged_intervals)
     for lo, hi in sr.flagged_intervals:
         assert any(lo - step <= e <= hi + step for e in eigs)
-    # uncertified rows carry the dip conditioning, certified ones stay
-    # clean, whatever the flag threshold
-    for flag_tol in (RCOND_TOL, 0.5):
-        sr = sweep(g, eps, 1.05, 2.0, 100, flag_tol=flag_tol)
-        for r in sr.rows:
-            assert r.certified == (r.rcond >= flag_tol)
+    # uncertified rows carry the dip conditioning, certified ones stay clean
+    for r in sr.rows:
+        assert r.certified == (r.rcond >= RCOND_TOL)
 
 
 def test_sweep_certified_rows_conserve_flux():
@@ -92,7 +87,7 @@ def test_sweep_refinement_failure_propagates(monkeypatch):
 
     monkeypatch.setattr(st, "assemble_system", broken)
     with pytest.raises(RuntimeError, match="assembly failed"):
-        sweep(fabry_perot_line(1.0), 0.1, 1.5, 3.5, 41)
+        sweep(dirichlet_edge_graph(1.0), 0.1, 1.05, 2.0, 20)
 
 
 def _count_refinement_assemblies(monkeypatch) -> list[int]:
@@ -120,6 +115,24 @@ def test_sweep_refines_edge_eigenvalues_to_float_spacing(monkeypatch):
         assert abs(lam_star - e) < 1e-12
         assert depth < RCOND_TOL
     assert calls[0] <= 10 * len(sr.dips)
+
+
+def test_sweep_refinement_assembles_no_grid_lambda(monkeypatch):
+    # the grid solve already factored every node: the refinement reads
+    # their log|det A| and rcond and assembles off-grid lambdas only
+    import fiberwave.spectrum_tools as st
+
+    lams = []
+    assemble = st.assemble_system
+
+    def recording(g, req):
+        lams.append(req.lam)
+        return assemble(g, req)
+
+    monkeypatch.setattr(st, "assemble_system", recording)
+    sr = sweep(dirichlet_edge_graph(1.0), 0.1, 1.05, 2.0, 100)
+    assert sr.dips and lams
+    assert not {r.lam for r in sr.rows}.intersection(lams)
 
 
 def test_sweep_fabry_perot_dips_cost_few_assemblies(monkeypatch):
@@ -175,31 +188,34 @@ def test_sweep_refinement_ignores_phase_of_det():
 def test_v_bottom_zero_smooth_minimum_and_flat():
     calls = []
 
-    def counted(log_abs_det):
+    def bottom(log_abs_det):
+        # the grid supplies the cell's three samples; log_d is called for
+        # new points only
         def log_d(lam):
             calls.append(lam)
             return log_abs_det(lam)
 
-        return log_d
+        calls.clear()
+        return _v_bottom(log_d, [(lam, log_abs_det(lam)) for lam in (1.0, 1.3, 1.6)])
 
     # a zero under a steeply varying |c|: found to float spacing
-    zero = counted(lambda lam: math.log(abs((lam - 1.2345) * math.exp(4.0 * lam))) if lam != 1.2345 else -math.inf)
-    assert abs(_v_bottom(zero, 1.0, 1.3, 1.6) - 1.2345) <= 4.5e-16
+    lam = bottom(lambda lam: math.log(abs((lam - 1.2345) * math.exp(4.0 * lam))) if lam != 1.2345 else -math.inf)
+    assert abs(lam - 1.2345) <= 4.5e-16
+    assert 1.0 < min(calls) and max(calls) < 1.6
     # a smooth minimum (no real zero) ends within the step budget, at its bottom
-    calls.clear()
-    lam = _v_bottom(counted(lambda lam: 0.5 * math.log((lam - 1.2) ** 2 + 1e-6)), 1.0, 1.3, 1.6)
-    assert abs(lam - 1.2) < 1e-4 and len(calls) <= 3 + _V_STEPS
+    lam = bottom(lambda lam: 0.5 * math.log((lam - 1.2) ** 2 + 1e-6))
+    assert abs(lam - 1.2) < 1e-4 and len(calls) <= _V_STEPS
     # constant |det A|: nothing beyond the three grid samples
-    calls.clear()
-    _v_bottom(counted(lambda lam: 2.77), 1.0, 1.3, 1.6)
-    assert len(calls) == 3
+    bottom(lambda lam: 2.77)
+    assert calls == []
 
 
 @pytest.mark.parametrize("build", [loop_network, lattice_network])
 def test_log_abs_det_matches_dense_determinant(build):
     g = build(np.random.default_rng(3))
-    log_abs = _log_abs_det(_factor(g, 5.0, 0.3)[1])
-    dense = np.linalg.det(assemble_system(g, SolveRequest(lam=5.0, eps=0.3)).matrix.toarray())
+    req = SolveRequest(lam=5.0, eps=0.3)
+    log_abs = solve_scattering(g, req).log_abs_det
+    dense = np.linalg.det(assemble_system(g, req).matrix.toarray())
     assert abs(log_abs - math.log(abs(dense))) <= 1e-12
 
 
