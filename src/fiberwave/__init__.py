@@ -21,7 +21,6 @@ from .graph_model import (
     TabulatedJunction,
     Transparent,
     Vertex,
-    global_ordering,
     validate_graph,
 )
 from .graph_solver import (
@@ -55,7 +54,6 @@ __all__ = [
     "assemble_system",
     "energy_report",
     "gc_residual",
-    "global_ordering",
     "lambda0",
     "resolve_vertex",
     "solve_scattering",

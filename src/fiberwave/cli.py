@@ -60,6 +60,9 @@ EXIT_INVALID = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
+#: Bound on every row of the `check` property table.
+CHECK_TOL = 1e-10
+
 
 # ---------------------------------------------------------------------------
 # JSON (de)serialization
@@ -83,36 +86,23 @@ def _matrix_in(rows) -> np.ndarray:
     return a.astype(float, copy=False).view(complex)[..., 0]
 
 
-def shape_to_json(shape) -> dict:
-    if isinstance(shape, cs.Interval):
-        return {"shape": "interval", "dims": [shape.width]}
-    if isinstance(shape, cs.Rectangle):
-        return {"shape": "rectangle", "dims": [shape.side_a, shape.side_b]}
-    if isinstance(shape, cs.Disk):
-        return {"shape": "disk", "dims": [shape.radius]}
-    raise ParseError(f"unknown cross-section {shape!r}")
+# cross-section shape name -> (class, number of dims)
+_SHAPES = {"interval": (cs.Interval, 1), "rectangle": (cs.Rectangle, 2), "disk": (cs.Disk, 1)}
 
 
 def shape_from_json(d: dict):
+    """Cross-section from {"shape": name, "dims": [...]}, whose dims are
+    exactly the shape's count of JSON numbers."""
     try:
-        kind, dims = d["shape"], d["dims"]
-        if kind == "interval":
-            return cs.Interval(float(dims[0]))
-        if kind == "rectangle":
-            return cs.Rectangle(float(dims[0]), float(dims[1]))
-        if kind == "disk":
-            return cs.Disk(float(dims[0]))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        kind, dims = d["shape"], np.asarray(d["dims"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad cross_section block: {d!r}") from exc
-    raise ParseError(f"unknown cross-section shape {d.get('shape')!r}")
-
-
-def geometry_to_json(geom: PlanarGeometry) -> dict:
-    return {
-        "cores": [list(r) for r in geom.cores],
-        "stubs": [{"rect": list(s.rect), "direction": s.direction} for s in geom.stubs],
-        "h": geom.h,
-    }
+    if kind not in _SHAPES:
+        raise ParseError(f"unknown cross-section shape {kind!r}")
+    make, count = _SHAPES[kind]
+    if dims.dtype.kind not in "biuf" or dims.shape != (count,):
+        raise ParseError(f"bad cross_section block: {kind} needs dims of {count} number(s), got {d['dims']!r}")
+    return make(*map(float, dims))
 
 
 def geometry_from_json(d: dict) -> PlanarGeometry:
@@ -127,23 +117,6 @@ def geometry_from_json(d: dict) -> PlanarGeometry:
         return PlanarGeometry(cores=cores, stubs=stubs, h=float(d["h"]))
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ParseError(f"bad geometry block: {exc}") from exc
-
-
-def junction_to_json(j) -> dict:
-    if isinstance(j, Dirichlet):
-        return {"kind": "dirichlet"}
-    if isinstance(j, Transparent):
-        return {"kind": "transparent"}
-    if isinstance(j, MatrixJunction):
-        return {"kind": "matrix", "lambda": j.lam, "matrix": _matrix_out(j.matrix)}
-    if isinstance(j, TabulatedJunction):
-        return {
-            "kind": "tabulated",
-            "table": [{"lambda": lam, "matrix": _matrix_out(m)} for lam, m in zip(j.lams, j.mats)],
-        }
-    if isinstance(j, OracleJunction):
-        return {"kind": "from_oracle", "geometry": geometry_to_json(j.geometry)}
-    raise ParseError(f"unknown junction model {j!r}")
 
 
 def junction_from_json(d: dict):
@@ -171,29 +144,6 @@ def junction_from_json(d: dict):
     if kind == "from_oracle":
         return OracleJunction(geometry=geometry_from_json(d.get("geometry", {})))
     raise ParseError(f"unknown junction kind {kind!r}")
-
-
-def graph_to_json(g: MetricGraph) -> dict:
-    return {
-        "channels": [
-            {
-                "id": c.id,
-                "length": "inf" if c.is_infinite else c.length,
-                "cross_section": shape_to_json(c.cross_section),
-                "start": c.start,
-                "end": c.end,
-            }
-            for c in g.channels
-        ],
-        "vertices": [
-            {
-                "id": v.id,
-                "ends": [[cid, which] for cid, which in v.ends],
-                "junction": junction_to_json(v.junction),
-            }
-            for v in g.vertices
-        ],
-    }
 
 
 def graph_from_json(d: dict) -> MetricGraph:
@@ -295,10 +245,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_junction(args) -> int:
-    geom = geometry_from_json(load_json(args.geometry))
-    if args.h is not None:
-        geom = PlanarGeometry(cores=geom.cores, stubs=geom.stubs, h=args.h)
-    js = junction_matrix(geom, args.lam)
+    js = junction_matrix(geometry_from_json(load_json(args.geometry)), args.lam)
     payload = {
         "kind": "tabulated",
         "table": [{"lambda": js.lam, "matrix": _matrix_out(js.matrix)}],
@@ -389,7 +336,6 @@ def _spider_errors(g: MetricGraph, v, lam: float, eps: float) -> tuple[float, fl
 
 def _cmd_check(args) -> int:
     g = load_graph(args.graph)
-    tol = args.tol
     ns = solve_scattering(
         g, SolveRequest(lam=args.lam, eps=args.eps), allow_flagged=args.allow_flagged
     )
@@ -407,20 +353,20 @@ def _cmd_check(args) -> int:
         spider0, spider1 = max(spider0, e0), max(spider1, e1)
 
     checks = [
-        ("unitarity ||A*A - I||_F", float(np.linalg.norm(a.conj().T @ a - eye)), tol),
-        ("symmetry ||A - A^T||_F", float(np.linalg.norm(a - a.T)), tol),
-        ("flux balance max", er.max_balance, tol),
-        ("flux cross-term max", er.max_cross, tol),
-        ("vertex condition residual", gc_worst, tol),
-        ("spider values max err", spider0, tol),
-        ("spider derivatives max err", spider1, tol),
+        ("unitarity ||A*A - I||_F", float(np.linalg.norm(a.conj().T @ a - eye))),
+        ("symmetry ||A - A^T||_F", float(np.linalg.norm(a - a.T))),
+        ("flux balance max", er.max_balance),
+        ("flux cross-term max", er.max_cross),
+        ("vertex condition residual", gc_worst),
+        ("spider values max err", spider0),
+        ("spider derivatives max err", spider1),
     ]
     all_ok = True
     print(f"lambda={args.lam} eps={args.eps} M={ns.ordering.M} rcond={ns.rcond:.3e}")
-    for name, value, threshold in checks:
-        ok = value <= threshold
+    for name, value in checks:
+        ok = value <= CHECK_TOL
         all_ok = all_ok and ok
-        print(f"{name:32s} {value:12.3e}  <= {threshold:.1e}  {'PASS' if ok else 'FAIL'}")
+        print(f"{name:32s} {value:12.3e}  <= {CHECK_TOL:.1e}  {'PASS' if ok else 'FAIL'}")
     if not ns.certified:
         print("solve not certified (resonance flag)")
     return EXIT_OK if all_ok else EXIT_NUMERIC
@@ -455,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("junction", help="compute a junction matrix from geometry")
     p.add_argument("--geometry", required=True, help="geometry JSON file")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--h", type=float, help="override grid spacing")
     p.add_argument("--out", help="output JSON path (default: stdout)")
 
     p = sub.add_parser("network-validate", help="compare graph model against the 2-D solver")
@@ -468,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
     return parser
 
 

@@ -152,14 +152,6 @@ def thresholds_below(shape: CrossSectionShape, lam: float) -> list[float]:
     return [t for t in ths if t < lam]
 
 
-def propagating_count(shape: CrossSectionShape, lam: float) -> int:
-    """Number of thresholds strictly below lam (propagating modes).
-
-    Zero when lam sits below the first threshold.
-    """
-    return len(thresholds_below(shape, lam))
-
-
 def lambda0(graph) -> float:
     """Bottom of the absolutely continuous spectrum: the smallest first
     threshold over the infinite channels of the graph."""

@@ -41,7 +41,7 @@ class Channel:
 
     @property
     def is_infinite(self) -> bool:
-        return math.isinf(self.length)
+        return self.length == math.inf
 
 
 @dataclass(frozen=True)
@@ -311,15 +311,3 @@ def mode_ordering(g: MetricGraph, counts: Mapping[int, int]) -> GlobalModeOrderi
         entries=tuple((cid, n) for cid in g.infinite_channel_ids for n in range(counts[cid]))
     )
 
-
-def global_ordering(g: MetricGraph, lam: float) -> GlobalModeOrdering:
-    """Ordered (channel, mode) list of all propagating modes of infinite
-    channels at lambda.
-
-    Raises ThresholdCollision when lambda sits within the exclusion window
-    of a threshold of any infinite channel.
-    """
-    return mode_ordering(
-        g,
-        {cid: cs.propagating_count(g.channel(cid).cross_section, lam) for cid in g.infinite_channel_ids},
-    )

@@ -101,7 +101,6 @@ class VertexScatteringResolved:
     """Junction matrix of one vertex at a fixed lambda, with its local mode
     order: entries[r] = (channel id, which end, mode index)."""
 
-    vertex_id: int
     entries: tuple[tuple[int, str, int], ...]
     t_matrix: np.ndarray
     d_diag: np.ndarray
@@ -156,11 +155,7 @@ class LinearSystem:
 
     matrix: sp.csc_matrix
     rhs: np.ndarray
-    unknowns: list[tuple[int, str, int]]  # (channel id, "alpha"|"beta", mode)
-    ordering: GlobalModeOrdering
     d_diag: np.ndarray  # wavenumber of each entry of the mode ordering
-    lam: float
-    eps: float
     plan: _SolvePlan  # the index arrays the system was scattered through
 
 
@@ -215,7 +210,7 @@ def resolve_vertex(g: MetricGraph, v: Vertex, lam: float) -> VertexScatteringRes
         raise DimensionMismatch(
             f"vertex {v.id}: junction matrix is {t.shape}, expected {(dim, dim)} at lambda={lam!r}"
         )
-    return VertexScatteringResolved(vertex_id=v.id, entries=tuple(entries), t_matrix=t, d_diag=d_arr)
+    return VertexScatteringResolved(entries=tuple(entries), t_matrix=t, d_diag=d_arr)
 
 
 def _interpolate_table(v, j: TabulatedJunction, lam: float, floor: float) -> np.ndarray:
@@ -413,11 +408,7 @@ def assemble_system(g: MetricGraph, req: SolveRequest) -> LinearSystem:
     return LinearSystem(
         matrix=sp.csc_matrix((filled[:nnz], plan.indices, plan.indptr), shape=(n, n)),
         rhs=-filled[nnz:].reshape(n, plan.ordering.M),
-        unknowns=list(plan.unknowns),
-        ordering=plan.ordering,
         d_diag=k_rows[plan.alpha_rows][plan.ordering_alpha],
-        lam=lam,
-        eps=eps,
         plan=plan,
     )
 
@@ -437,17 +428,19 @@ def _log_abs_det(lu) -> float:
     return float(np.sum(np.log(np.abs(lu.U.diagonal()))))
 
 
-def _estimate_rcond(a: sp.csc_matrix, lu, rng: np.random.Generator) -> float:
+def _estimate_rcond(a: sp.csc_matrix, lu) -> float:
     """Estimate of sigma_min / sigma_max of the sparse matrix `a`, its 2-norm
     reciprocal condition number: 12 steps of power iteration on A^H A for
     sigma_max, through products with `a` and its transpose, and 30 steps of
     inverse power iteration for sigma_min, each a solve with A^H and then
-    with A through the SuperLU factor `lu` of `a`.  The factor must be
-    complex: a real one rejects the complex iterate.  A pivot small enough
-    to make the iterate non-finite gives 0."""
+    with A through the SuperLU factor `lu` of `a`.  Both start from fixed
+    random vectors, so the estimate of a matrix is reproducible.  The factor
+    must be complex: a real one rejects the complex iterate.  A pivot small
+    enough to make the iterate non-finite gives 0."""
     n = a.shape[0]
     if n == 0:
         return 1.0
+    rng = np.random.default_rng(0x5EED)
     x = rng.normal(size=n) + 1j * rng.normal(size=n)
     x /= np.linalg.norm(x)
     a_t = a.T
@@ -503,7 +496,7 @@ def solve_scattering(g: MetricGraph, req: SolveRequest, *, allow_flagged: bool =
                 # a tiny pivot leaves y non-finite, which is reported like
                 # an exactly singular LU
                 if np.all(np.isfinite(y)):
-                    x, rcond = y, _estimate_rcond(a, lu, np.random.default_rng(0x5EED))
+                    x, rcond = y, _estimate_rcond(a, lu)
                 # last: reading U makes SuperLU build and keep CSC copies of
                 # L and U (1.9 MB on a 10x10 lattice), which the solve and
                 # the estimate above would otherwise carry at their peak
@@ -517,7 +510,7 @@ def solve_scattering(g: MetricGraph, req: SolveRequest, *, allow_flagged: bool =
     return NetworkScattering(
         t=x[plan.ordering_alpha, :],
         d_diag=system.d_diag,
-        ordering=system.ordering,
+        ordering=plan.ordering,
         lam=req.lam,
         eps=req.eps,
         rcond=rcond,

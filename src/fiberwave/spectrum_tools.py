@@ -73,7 +73,6 @@ class SweepResult:
     rows: list[SweepRow]
     flagged_intervals: list[tuple[float, float]]
     dips: list[tuple[float, float]]
-    eps: float
 
 
 def _check_interval_clear(g: MetricGraph, lam_lo: float, lam_hi: float) -> None:
@@ -198,7 +197,7 @@ def _rcond(matrix, lu) -> float:
     if lu is None:
         return 0.0
     with np.errstate(all="ignore"):
-        return _estimate_rcond(matrix, lu, np.random.default_rng(0x5EED))
+        return _estimate_rcond(matrix, lu)
 
 
 def sweep(
@@ -268,7 +267,7 @@ def sweep(
     if run_start is not None:
         flagged.append((run_start, prev_lam))
 
-    return SweepResult(rows=rows, flagged_intervals=flagged, dips=dips, eps=eps)
+    return SweepResult(rows=rows, flagged_intervals=flagged, dips=dips)
 
 
 @dataclass
@@ -286,14 +285,13 @@ class ThresholdFit:
     t0: np.ndarray
     t_prime: np.ndarray
     residual: float
-    degree: int
 
 
 def threshold_extrapolate(
-    matrices: Sequence[tuple[float, np.ndarray]], lam0: float, *, degree: int = 3
+    matrices: Sequence[tuple[float, np.ndarray]], lam0: float
 ) -> ThresholdFit:
-    """Least-squares polynomial fit, entrywise in z = sqrt(lambda - lam0),
-    of junction-matrix samples approaching the threshold from above.
+    """Least-squares cubic fit, entrywise in z = sqrt(lambda - lam0), of
+    junction-matrix samples approaching the threshold from above.
 
     Requires at least five samples with strictly decreasing z so the cubic
     fit stays overdetermined.
@@ -311,15 +309,14 @@ def threshold_extrapolate(
     if np.any(np.diff(z) >= 0):
         raise ValueError("samples must approach the threshold: z strictly decreasing")
 
-    deg = min(degree, len(z) - 2)
-    vand = np.vander(z, deg + 1, increasing=True)
+    vand = np.vander(z, 4, increasing=True)
     data = np.stack([m.ravel() for m in mats])  # (n_samples, dim*dim)
     coeffs, *_ = np.linalg.lstsq(vand, data, rcond=None)
     fit = vand @ coeffs
     residual = float(np.max(np.abs(fit - data))) if data.size else 0.0
     t0 = coeffs[0].reshape(shape)
-    t_prime = (coeffs[1] if deg >= 1 else np.zeros_like(coeffs[0])).reshape(shape)
-    return ThresholdFit(z=z, t0=t0, t_prime=t_prime, residual=residual, degree=deg)
+    t_prime = coeffs[1].reshape(shape)
+    return ThresholdFit(z=z, t0=t0, t_prime=t_prime, residual=residual)
 
 
 def export_spectrum(sr: SweepResult, path) -> None:

@@ -147,7 +147,7 @@ def _vertex_k(g_channels, ends, lam):
     ks = []
     for cid, _ in ends:
         chan = next(c for c in g_channels if c.id == cid)
-        cnt = cs.propagating_count(chan.cross_section, lam)
+        cnt = len(cs.thresholds_below(chan.cross_section, lam))
         ths = cs.thresholds(chan.cross_section, cnt) if cnt else []
         ks.extend(math.sqrt(lam - t) for t in ths)
     return np.asarray(ks)

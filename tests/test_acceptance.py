@@ -113,7 +113,7 @@ def test_criterion_4_spider_consistency():
         )
         ks = []
         for c in channels:
-            cnt = cs.propagating_count(c.cross_section, lam)
+            cnt = len(cs.thresholds_below(c.cross_section, lam))
             ks.extend(math.sqrt(lam - t) for t in cs.thresholds(c.cross_section, cnt))
         t_v = admissible_junction(np.array(ks), rng)
         g = MetricGraph(

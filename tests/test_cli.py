@@ -15,14 +15,13 @@ from fiberwave.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     _matrix_out,
-    geometry_to_json,
     graph_from_json,
-    graph_to_json,
     main,
 )
 from fiberwave.cross_section import Disk, Interval, Rectangle
 from fiberwave.graph_model import (
     Channel,
+    Dirichlet,
     MatrixJunction,
     MetricGraph,
     OracleJunction,
@@ -36,6 +35,15 @@ from fiberwave.helmholtz_oracle import PlanarGeometry, Stub, cross_geometry
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def geometry_json(geom: PlanarGeometry) -> dict:
+    """The geometry-file form of a planar geometry."""
+    return {
+        "cores": [list(r) for r in geom.cores],
+        "stubs": [{"rect": list(s.rect), "direction": s.direction} for s in geom.stubs],
+        "h": geom.h,
+    }
 
 
 def dirichlet_graph_json(tmp_path):
@@ -84,6 +92,28 @@ def edge_graph_json(tmp_path):
     )
 
 
+GRAPH_ALL_JUNCTION_KINDS = """
+{"channels": [
+  {"id": 1, "length": "inf", "cross_section": {"shape": "interval", "dims": [3.141592653589793]}, "start": 1, "end": null},
+  {"id": 2, "length": 1.5, "cross_section": {"shape": "rectangle", "dims": [1.0, 2.0]}, "start": 1, "end": 2},
+  {"id": 3, "length": "inf", "cross_section": {"shape": "disk", "dims": [0.8]}, "start": 2, "end": null},
+  {"id": 4, "length": "inf", "cross_section": {"shape": "interval", "dims": [3.141592653589793]}, "start": 3, "end": null},
+  {"id": 5, "length": "inf", "cross_section": {"shape": "interval", "dims": [3.141592653589793]}, "start": 4, "end": null},
+  {"id": 6, "length": "inf", "cross_section": {"shape": "interval", "dims": [3.141592653589793]}, "start": 5, "end": null}],
+ "vertices": [
+  {"id": 1, "ends": [[1, "start"], [2, "start"]], "junction": {"kind": "transparent"}},
+  {"id": 2, "ends": [[2, "end"], [3, "start"]],
+   "junction": {"kind": "matrix", "lambda": 2.0, "matrix": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}},
+  {"id": 3, "ends": [[4, "start"]],
+   "junction": {"kind": "tabulated", "table": [{"lambda": 1.5, "matrix": [[[-1.0, 0.0]]]},
+                                               {"lambda": 2.5, "matrix": [[[-0.5, 0.1]]]}]}},
+  {"id": 4, "ends": [[5, "start"]],
+   "junction": {"kind": "from_oracle", "geometry": {"cores": [[0.0, 0.0, 1.0, 1.0]],
+     "stubs": [{"rect": [-2.0, 0.0, 0.0, 1.0], "direction": "-x"}], "h": 0.125}}},
+  {"id": 5, "ends": [[6, "start"]], "junction": {"kind": "dirichlet"}}]}
+"""
+
+
 def test_roundtrip_all_junction_kinds():
     geom = PlanarGeometry(
         cores=((0.0, 0.0, 1.0, 1.0),),
@@ -97,16 +127,17 @@ def test_roundtrip_all_junction_kinds():
             Channel(3, math.inf, Disk(0.8), 2, None),
             Channel(4, math.inf, Interval(math.pi), 3, None),
             Channel(5, math.inf, Interval(math.pi), 4, None),
+            Channel(6, math.inf, Interval(math.pi), 5, None),
         ),
         vertices=(
             Vertex(1, ((1, "start"), (2, "start")), Transparent()),
             Vertex(2, ((2, "end"), (3, "start")), MatrixJunction(2.0, ((0j, 1 + 0j), (1 + 0j, 0j)))),
             Vertex(3, ((4, "start"),), TabulatedJunction([1.5, 2.5], [[[-1 + 0j]], [[-0.5 + 0.1j]]])),
             Vertex(4, ((5, "start"),), OracleJunction(geom)),
+            Vertex(5, ((6, "start"),), Dirichlet()),
         ),
     )
-    g2 = graph_from_json(json.loads(json.dumps(graph_to_json(g))))
-    assert graph_to_json(g2) == graph_to_json(g)
+    g2 = graph_from_json(json.loads(GRAPH_ALL_JUNCTION_KINDS))
     assert g2.channels == g.channels
     for v2, v in zip(g2.vertices, g.vertices, strict=True):
         assert (v2.id, v2.ends, type(v2.junction)) == (v.id, v.ends, type(v.junction))
@@ -115,6 +146,7 @@ def test_roundtrip_all_junction_kinds():
     j2, j = g2.vertices[2].junction, g.vertices[2].junction
     assert np.array_equal(j2.lams, j.lams) and np.array_equal(j2.mats, j.mats)
     assert g2.vertices[3].junction == g.vertices[3].junction
+    assert g2.vertices[4].junction == g.vertices[4].junction
 
 
 def test_solve_command(tmp_path, capsys):
@@ -276,8 +308,6 @@ def test_check_command(tmp_path, capsys):
 def test_network_validate_command(tmp_path, capsys):
     h = math.pi / 16
     geom = cross_geometry(math.pi, 2 * math.pi, h)
-    from fiberwave.cli import geometry_to_json
-
     graph = {
         "channels": [
             {"id": 1, "length": "inf", "cross_section": {"shape": "interval", "dims": [math.pi]}, "start": 1, "end": None},
@@ -292,12 +322,12 @@ def test_network_validate_command(tmp_path, capsys):
             {
                 "id": 1,
                 "ends": [[1, "start"], [2, "start"], [3, "start"], [4, "start"]],
-                "junction": {"kind": "from_oracle", "geometry": geometry_to_json(geom)},
+                "junction": {"kind": "from_oracle", "geometry": geometry_json(geom)},
             },
             {
                 "id": 2,
                 "ends": [[2, "end"], [5, "start"], [6, "start"], [7, "start"]],
-                "junction": {"kind": "from_oracle", "geometry": geometry_to_json(geom)},
+                "junction": {"kind": "from_oracle", "geometry": geometry_json(geom)},
             },
         ],
     }
@@ -358,7 +388,7 @@ def test_network_validate_skips_flagged(tmp_path, capsys, monkeypatch):
 def test_non_finite_lambda_and_bad_eps_exit_numeric(tmp_path, capsys, command, bad):
     if command[0] == "junction":
         geom = cross_geometry(math.pi, 2 * math.pi, math.pi / 16)
-        inputs = ["--geometry", write_json(tmp_path / "cross.json", geometry_to_json(geom))]
+        inputs = ["--geometry", write_json(tmp_path / "cross.json", geometry_json(geom))]
     else:
         inputs = ["--graph", dirichlet_graph_json(tmp_path)]
     rc = main(command[:1] + inputs + command[1:] + ["--out", str(tmp_path / "out")])
@@ -373,6 +403,18 @@ def one_vertex_graph_json(tmp_path, junction):
     return write_json(tmp_path / "g.json", {"channels": [channel], "vertices": [vertex]})
 
 
+def lead_graph_json(tmp_path, **fields):
+    """A lead of width pi on a Dirichlet vertex, with `fields` of the
+    channel replaced."""
+    channel = {"id": 1, "length": "inf", "cross_section": {"shape": "interval", "dims": [math.pi]}, "start": 1, "end": None}
+    vertex = {"id": 1, "ends": [[1, "start"]], "junction": {"kind": "dirichlet"}}
+    return write_json(tmp_path / "lead.json", {"channels": [{**channel, **fields}], "vertices": [vertex]})
+
+
+def solve_lead(tmp_path, **fields):
+    return ["solve", "--graph", lead_graph_json(tmp_path, **fields), "--lambda", "2", "--eps", "0.1"]
+
+
 def not_utf8_graph(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"channels": [], "vertices": [], "note": "\u00e9"}'.encode("latin-1"))
@@ -385,8 +427,9 @@ def not_utf8_graph(tmp_path):
         (lambda p: ["junction", "--geometry", write_json(p / "geo.json", [1, 2]), "--lambda", "2"], "[1, 2]"),
         (
             lambda p: [
-                "junction", "--geometry", write_json(p / "geo.json", geometry_to_json(cross_geometry(math.pi, 2 * math.pi, math.pi / 16))),
-                "--lambda", "2", "--h", "nan",
+                "junction", "--geometry",
+                write_json(p / "geo.json", {**geometry_json(cross_geometry(math.pi, 2 * math.pi, math.pi / 16)), "h": math.nan}),
+                "--lambda", "2",
             ],
             "got nan",
         ),
@@ -402,10 +445,16 @@ def not_utf8_graph(tmp_path):
         (lambda p: ["network-validate", "--graph", edge_graph_json(p), "--lambda", "2", "--eps", "1,,0.5"], "'1,,0.5'"),
         (lambda p: ["network-validate", "--graph", edge_graph_json(p), "--lambda", "2", "--eps", "abc"], "'abc'"),
         (lambda p: ["network-validate", "--graph", edge_graph_json(p), "--lambda", "2", "--eps", "1,0.5,1.0"], "1.0 more than once"),
+        (lambda p: solve_lead(p, cross_section={"shape": "interval", "dims": "3.14"}), "got '3.14'"),
+        (lambda p: solve_lead(p, cross_section={"shape": "interval", "dims": ["3.14"]}), "got ['3.14']"),
+        (lambda p: solve_lead(p, cross_section={"shape": "interval", "dims": [math.pi, 7]}), "got [3.141592653589793, 7]"),
+        (lambda p: solve_lead(p, length=-math.inf), "bad_length"),
+        (lambda p: solve_lead(p, length="-inf"), "bad_length"),
     ],
     ids=[
         "geometry-array", "grid-spacing-nan", "junction-string", "oracle-geometry-list", "graph-not-utf8",
-        "eps-empty-item", "eps-not-number", "eps-repeated",
+        "eps-empty-item", "eps-not-number", "eps-repeated", "dims-string", "dims-numeric-string",
+        "dims-two-for-interval", "length-minus-infinity", "length-minus-inf-string",
     ],
 )
 def test_malformed_input_exits_invalid(tmp_path, capsys, argv, bad):
@@ -514,6 +563,14 @@ def test_non_finite_junction_entry_exits_invalid(tmp_path, capsys, command):
         rc = main(argv[:1] + ["--graph", one_vertex_graph_json(tmp_path, junction)] + argv[1:])
         assert rc == EXIT_INVALID, junction
         assert code in capsys.readouterr().err
+
+
+@GRAPH_COMMANDS
+def test_negative_infinite_length_exits_invalid(tmp_path, capsys, command):
+    argv = [a.format(out=tmp_path / "out.csv") for a in command]
+    rc = main(argv[:1] + ["--graph", lead_graph_json(tmp_path, length=-math.inf)] + argv[1:])
+    assert rc == EXIT_INVALID
+    assert "bad_length" in capsys.readouterr().err
 
 
 def loop_graph_json(tmp_path, loop_junction):

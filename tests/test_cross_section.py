@@ -13,7 +13,6 @@ from fiberwave.cross_section import (
     Interval,
     Rectangle,
     lambda0,
-    propagating_count,
     thresholds,
     thresholds_below,
 )
@@ -73,26 +72,26 @@ def test_disk_threshold_matches_bessel_oracle():
 
 def test_propagating_count():
     w = Interval(math.pi)
-    assert propagating_count(w, 3.0) == 1
-    assert propagating_count(w, 5.0) == 2
-    assert propagating_count(w, 0.5) == 0
+    assert len(thresholds_below(w, 3.0)) == 1
+    assert len(thresholds_below(w, 5.0)) == 2
+    assert len(thresholds_below(w, 0.5)) == 0
 
 
 def test_propagating_count_jumps_by_multiplicity():
     sq = Rectangle(1.0, 1.0)
     lam_deg = 5 * math.pi**2  # double eigenvalue
-    assert propagating_count(sq, lam_deg + 0.1) - propagating_count(sq, lam_deg - 0.1) == 2
+    assert len(thresholds_below(sq, lam_deg + 0.1)) - len(thresholds_below(sq, lam_deg - 0.1)) == 2
     # monotone on a sample grid
     w = Interval(math.pi)
-    counts = [propagating_count(w, lam) for lam in (0.5, 2.0, 5.0, 10.0, 17.0)]
+    counts = [len(thresholds_below(w, lam)) for lam in (0.5, 2.0, 5.0, 10.0, 17.0)]
     assert counts == sorted(counts)
 
 
 def test_threshold_collision():
     with pytest.raises(ThresholdCollision):
-        propagating_count(Interval(math.pi), 4.0)
+        len(thresholds_below(Interval(math.pi), 4.0))
     with pytest.raises(ThresholdCollision):
-        propagating_count(Interval(math.pi), 4.0 + 1e-12)
+        len(thresholds_below(Interval(math.pi), 4.0 + 1e-12))
 
 
 @pytest.mark.parametrize("shape", [Interval(math.pi), Rectangle(1.0, 1.0), Disk(1.0)])
@@ -201,7 +200,7 @@ def test_bad_dimensions_raise_at_every_entry_point(shape):
     for call in (
         lambda: thresholds(shape, 3),
         lambda: thresholds_below(shape, 2.0),
-        lambda: propagating_count(shape, 2.0),
+        lambda: len(thresholds_below(shape, 2.0)),
     ):
         with pytest.raises(ValueError, match="dimensions must be positive"):
             call()

@@ -1,4 +1,4 @@
-"""Graph validation and the global mode ordering."""
+"""Graph validation and the global mode ordering of a solve."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fiberwave.cross_section import Interval
-from fiberwave.errors import ThresholdCollision
+from fiberwave.errors import SingularAtThreshold
 from fiberwave.graph_model import (
     Channel,
     Dirichlet,
@@ -16,9 +16,9 @@ from fiberwave.graph_model import (
     TabulatedJunction,
     Transparent,
     Vertex,
-    global_ordering,
     validate_graph,
 )
+from fiberwave.graph_solver import SolveRequest, solve_scattering
 
 from conftest import dirichlet_lead, random_network
 
@@ -86,24 +86,29 @@ def test_no_infinite_channels_flagged():
     assert "no_infinite_channels" in [v.code for v in validate_graph(g)]
 
 
+def solved_ordering(g, lam):
+    """The mode ordering of the network scattering matrix at lam."""
+    return solve_scattering(g, SolveRequest(lam, 0.1), allow_flagged=True).ordering
+
+
 def test_global_ordering_two_channels():
     g = MetricGraph(
         channels=(
             Channel(1, math.inf, Interval(math.pi), 1, None),
-            Channel(2, math.inf, Interval(math.pi), 1, None),
+            Channel(2, math.inf, Interval(math.pi), 2, None),
         ),
         vertices=(
             Vertex(1, ((1, "start"),), Dirichlet()),
             Vertex(2, ((2, "start"),), Dirichlet()),
         ),
     )
-    ordering = global_ordering(g, 5.0)
+    ordering = solved_ordering(g, 5.0)
     assert ordering.entries == ((1, 0), (1, 1), (2, 0), (2, 1))
     assert ordering.M == 4
 
 
 def test_global_ordering_below_bottom():
-    ordering = global_ordering(dirichlet_lead(), 0.5)
+    ordering = solved_ordering(dirichlet_lead(), 0.5)
     assert ordering.entries == ()
     assert ordering.M == 0
 
@@ -112,21 +117,21 @@ def test_global_ordering_mixed_widths():
     g = MetricGraph(
         channels=(
             Channel(1, math.inf, Interval(math.pi), 1, None),
-            Channel(2, math.inf, Interval(math.pi / 2), 1, None),
+            Channel(2, math.inf, Interval(math.pi / 2), 2, None),
         ),
         vertices=(
             Vertex(1, ((1, "start"),), Dirichlet()),
             Vertex(2, ((2, "start"),), Dirichlet()),
         ),
     )
-    ordering = global_ordering(g, 2.0)
+    ordering = solved_ordering(g, 2.0)
     assert ordering.entries == ((1, 0),)
     assert ordering.M == 1
 
 
 def test_global_ordering_threshold_collision():
-    with pytest.raises(ThresholdCollision):
-        global_ordering(dirichlet_lead(), 4.0)
+    with pytest.raises(SingularAtThreshold):
+        solved_ordering(dirichlet_lead(), 4.0)
 
 
 def test_random_networks_valid_and_ordering_consistent():
@@ -137,7 +142,7 @@ def test_random_networks_valid_and_ordering_consistent():
     for _ in range(25):
         g = random_network(rng, lam)
         assert validate_graph(g) == []
-        ordering = global_ordering(g, lam)
+        ordering = solved_ordering(g, lam)
         # independent recount: interval thresholds ((n+1) pi / w)^2 < lam
         m = 0
         for c in sorted((c for c in g.channels if c.end is None), key=lambda c: c.id):
@@ -148,6 +153,6 @@ def test_random_networks_valid_and_ordering_consistent():
             m += n
         assert ordering.M == m
         # stable: identical on recompute
-        assert global_ordering(g, lam).entries == ordering.entries
+        assert solved_ordering(g, lam).entries == ordering.entries
         # bijection onto the propagating set, grouped and ascending
         assert sorted(set(ordering.entries)) == list(ordering.entries)

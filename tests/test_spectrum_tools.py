@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from fiberwave.cli import graph_to_json, main
+from fiberwave.cli import main
 from fiberwave.cross_section import Interval
 from fiberwave.errors import (
     DimensionMismatch,
@@ -237,9 +237,22 @@ def test_sweep_rejects_threshold_in_interval():
         sweep(g, 0.1, 1.5, 3.0, 10)
 
 
+# dirichlet_edge_graph(1.0) as a graph file
+EDGE_GRAPH_JSON = {
+    "channels": [
+        {"id": 1, "length": "inf", "cross_section": {"shape": "interval", "dims": [math.pi]}, "start": 1, "end": None},
+        {"id": 2, "length": 1.0, "cross_section": {"shape": "interval", "dims": [math.pi]}, "start": 1, "end": 2},
+    ],
+    "vertices": [
+        {"id": 1, "ends": [[1, "start"], [2, "start"]], "junction": {"kind": "dirichlet"}},
+        {"id": 2, "ends": [[2, "end"]], "junction": {"kind": "dirichlet"}},
+    ],
+}
+
+
 def test_sweep_threads_deterministic(tmp_path):
     gpath = tmp_path / "g.json"
-    gpath.write_text(json.dumps(graph_to_json(dirichlet_edge_graph(1.0))))
+    gpath.write_text(json.dumps(EDGE_GRAPH_JSON))
     outs = []
     for threads in ("1", "4"):
         out = tmp_path / f"threads{threads}.csv"
