@@ -11,10 +11,11 @@ file format is JSON:
 
 Junction kinds: dirichlet, transparent, matrix (fields lambda, matrix),
 tabulated (field table: list of {lambda, matrix}), from_oracle (field
-geometry).  Complex numbers are [re, im] pairs of JSON numbers, and an
-empty matrix [] is 0 x 0.  Geometries are
-{"cores": [[x0,y0,x1,y1], ...], "stubs": [{"rect": [...], "direction":
-"+x"}, ...], "h": ...}.
+geometry).  Ids, start, end and the ids in ends are JSON integers.
+Complex numbers are [re, im] pairs of JSON numbers, and an empty matrix
+[] is 0 x 0.  Geometries are {"cores": [[x0,y0,x1,y1], ...], "stubs":
+[{"rect": [...], "direction": "+x"}, ...], "h": ...}, each core and rect
+exactly 4 JSON numbers.
 
 Exit codes: 0 success, 2 parse/validation errors, 3 numeric errors or an
 uncertified solve (unless --allow-flagged), 4 I/O errors.
@@ -86,6 +87,25 @@ def _matrix_in(rows) -> np.ndarray:
     return a.astype(float, copy=False).view(complex)[..., 0]
 
 
+def _numbers(x, count: int, what: str) -> tuple[float, ...]:
+    """`x` as exactly `count` JSON numbers; `what` names it in the error."""
+    try:
+        a = np.asarray(x)
+        ok = a.dtype.kind in "biuf" and a.shape == (count,)
+    except ValueError:  # a ragged list
+        ok = False
+    if not ok:
+        raise ParseError(f"{what} needs {count} number(s), got {x!r}")
+    return tuple(map(float, a))
+
+
+def _id(x) -> int:
+    """A channel or vertex id: a JSON integer literal, not a bool."""
+    if type(x) is not int:
+        raise ParseError(f"ids must be JSON integers, got {x!r}")
+    return x
+
+
 # cross-section shape name -> (class, number of dims)
 _SHAPES = {"interval": (cs.Interval, 1), "rectangle": (cs.Rectangle, 2), "disk": (cs.Disk, 1)}
 
@@ -94,24 +114,23 @@ def shape_from_json(d: dict):
     """Cross-section from {"shape": name, "dims": [...]}, whose dims are
     exactly the shape's count of JSON numbers."""
     try:
-        kind, dims = d["shape"], np.asarray(d["dims"])
-    except (KeyError, TypeError, ValueError) as exc:
+        kind, dims = d["shape"], d["dims"]
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"bad cross_section block: {d!r}") from exc
     if kind not in _SHAPES:
         raise ParseError(f"unknown cross-section shape {kind!r}")
     make, count = _SHAPES[kind]
-    if dims.dtype.kind not in "biuf" or dims.shape != (count,):
-        raise ParseError(f"bad cross_section block: {kind} needs dims of {count} number(s), got {d['dims']!r}")
-    return make(*map(float, dims))
+    return make(*_numbers(dims, count, f"bad cross_section block: {kind} dims"))
 
 
 def geometry_from_json(d: dict) -> PlanarGeometry:
+    """Geometry whose every core and stub rect is exactly 4 JSON numbers."""
     if not isinstance(d, dict):
         raise ParseError(f"geometry must be a JSON object, got {d!r}")
     try:
-        cores = tuple(tuple(float(x) for x in r) for r in d.get("cores", []))
+        cores = tuple(_numbers(r, 4, "geometry core") for r in d.get("cores", []))
         stubs = tuple(
-            Stub(rect=tuple(float(x) for x in s["rect"]), direction=str(s["direction"]))
+            Stub(rect=_numbers(s["rect"], 4, "geometry stub rect"), direction=str(s["direction"]))
             for s in d["stubs"]
         )
         return PlanarGeometry(cores=cores, stubs=stubs, h=float(d["h"]))
@@ -154,18 +173,18 @@ def graph_from_json(d: dict) -> MetricGraph:
             length = math.inf if raw_len == "inf" else float(raw_len)
             channels.append(
                 Channel(
-                    id=int(c["id"]),
+                    id=_id(c["id"]),
                     length=length,
                     cross_section=shape_from_json(c["cross_section"]),
-                    start=int(c["start"]),
-                    end=None if c.get("end") is None else int(c["end"]),
+                    start=_id(c["start"]),
+                    end=None if c.get("end") is None else _id(c["end"]),
                 )
             )
         vertices = []
         for v in d["vertices"]:
-            ends = tuple((int(cid), str(which)) for cid, which in v["ends"])
+            ends = tuple((_id(cid), str(which)) for cid, which in v["ends"])
             vertices.append(
-                Vertex(id=int(v["id"]), ends=ends, junction=junction_from_json(v["junction"]))
+                Vertex(id=_id(v["id"]), ends=ends, junction=junction_from_json(v["junction"]))
             )
     except ParseError:
         raise
@@ -195,7 +214,7 @@ def load_graph(path: str) -> MetricGraph:
 
 
 def _dump_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True) + "\n"
     if path:
         with open(path, "w", newline="\n") as f:
             f.write(text)

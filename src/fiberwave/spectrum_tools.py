@@ -5,16 +5,16 @@ per-column transmission totals, flux-balance residuals and the reciprocal
 condition of the assembled system, and flags resonance intervals.  The
 resonant set of the network (embedded eigenvalues of decoupled pieces)
 consists of isolated points where the system is exactly singular: simple
-real zeros of the analytic det A(lambda).  A grid node almost never lands
-on one, so each strict local minimum of the conditioning curve is refined
-to the bottom of |det A| between its grid neighbours.  The grid solves
-supply log|det A| at the node and both neighbours, and every further
-sample is one sparse LU factor at an off-grid lambda; at an embedded
-eigenvalue that bottom is a V-shaped zero, found by secant steps along
-the V's branches.  RCOND_TOL is applied to the reciprocal condition at
-the bottom.  A grid row is certified when the reciprocal condition over
-its grid cell - not just at its node - stays above RCOND_TOL and lambda
-is clear of thresholds.
+real zeros of the analytic det A(lambda).  Every grid solve records
+log|det A| at its node, and a grid node almost never lands on a zero, so
+each strict local minimum of that curve is refined to the bottom of
+|det A| between the node's grid neighbours.  Every further sample is one
+sparse LU factor at an off-grid lambda; at an embedded eigenvalue the
+bottom is a V-shaped zero, found by secant steps along the V's branches.
+RCOND_TOL is applied to the reciprocal condition at the bottom, read from
+a solve there.  A grid row is certified when the reciprocal condition over
+its grid cell - not just at its node - stays above RCOND_TOL and lambda is
+clear of thresholds.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .graph_model import MetricGraph
 from .graph_solver import (
     RCOND_TOL,
     SolveRequest,
-    _estimate_rcond,
     _log_abs_det,
     assemble_system,
     energy_report,
@@ -92,38 +91,35 @@ def _check_interval_clear(g: MetricGraph, lam_lo: float, lam_hi: float) -> None:
 
 
 def _factor(g: MetricGraph, lam: float, eps: float):
-    """The assembled matrix at lam and its SuperLU factor; the factor is
-    None when the matrix is exactly singular."""
+    """The SuperLU factor of the system assembled at lam, or None when the
+    matrix is exactly singular."""
     matrix = assemble_system(g, SolveRequest(lam=lam, eps=eps)).matrix
     try:
-        return matrix, lu_factor(matrix)
+        return lu_factor(matrix)
     except RuntimeError:  # SuperLU: the matrix is exactly singular
-        return matrix, None
+        return None
 
 
 def _v_bottom(log_d, cell: Sequence[tuple[float, float]]) -> float:
     """Bottom of |det A| on the grid cell [a, b] around the dip node m,
-    from the grid's samples cell = ((a, log|det A(a)|), (m, ...), (b, ...))
-    and log_d(lam) = log|det A(lam)|, called on at most _V_STEPS new points
-    inside the cell.
+    from the grid's samples cell = ((a, log|det A(a)|), (m, ...), (b, ...)),
+    of which m is the strict lowest, and log_d(lam) = log|det A(lam)|,
+    called on at most _V_STEPS new points inside the cell.
 
     At a simple real zero lam*, |det A| = |c(lam)| |lam - lam*| with c
     smooth: a V.  Of the two chords next to the lowest sample x, the one
     on the far side of the vertex lies on a branch of the V and is the
     steeper, the other straddles the vertex; the step goes to where the
     steeper chord's line, taken through x, meets zero.  A step that would
-    leave the samples around x bisects the larger side instead.  At a cell
-    end, where x has one neighbour, the chord beyond that neighbour is the
-    branch, and a step that would leave the cell ends the search: |det A|
-    has no bottom inside.  The search also ends when |det A| vanishes,
-    when the step is below float spacing or runs against a sample within
-    rounding of x, and when |det A| at both neighbours of x exceeds its
-    value at x by less than _FLAT_REL of it (a smooth minimum, resolved,
-    or no minimum at all).
+    leave the samples around x bisects the larger side instead.  The cell
+    ends lie above m and every new sample falls strictly between them, so
+    x always has a neighbour on each side.  The search ends when |det A|
+    vanishes, when the step is below float spacing or runs against a
+    sample within rounding of x, and when |det A| at both neighbours of x
+    exceeds its value at x by less than _FLAT_REL of it (a smooth minimum,
+    resolved).
     """
     ref = max(l for _, l in cell)  # |det A| is kept relative to the cell's largest
-    if ref == -math.inf:
-        return cell[1][0]
     pts = [(lam, math.exp(l - ref)) for lam, l in cell]
     for _ in range(_V_STEPS):
         i = min(range(len(pts)), key=lambda j: pts[j][1])
@@ -131,25 +127,15 @@ def _v_bottom(log_d, cell: Sequence[tuple[float, float]]) -> float:
         if dx == 0.0:
             return x
         tol = 2.0 * sys.float_info.epsilon * abs(x)
-        if 0 < i < len(pts) - 1:
-            (lo, d_lo), (hi, d_hi) = pts[i - 1], pts[i + 1]
-            if min(d_lo, d_hi) - dx <= _FLAT_REL * dx:
-                return x
-            s_left, s_right = (d_lo - dx) / (x - lo), (d_hi - dx) / (hi - x)
-            y = x + dx / s_left if s_left >= s_right else x - dx / s_right
-            if not lo < y < hi:
-                if abs(x - (lo if y < x else hi)) <= 16.0 * tol:
-                    return x  # the samples next to x differ by rounding only
-                y = 0.5 * (lo + x) if x - lo > hi - x else 0.5 * (x + hi)
-        else:
-            (p, dp), (q, dq) = (pts[1], pts[2]) if i == 0 else (pts[-2], pts[-3])
-            slope = (dq - dp) / abs(q - p)
-            if slope <= 0.0:
-                return x
-            y = p - dp / slope if i == 0 else p + dp / slope
-            lo, hi = min(x, p), max(x, p)
-            if not lo < y < hi:
-                return x
+        (lo, d_lo), (hi, d_hi) = pts[i - 1], pts[i + 1]
+        if min(d_lo, d_hi) - dx <= _FLAT_REL * dx:
+            return x
+        s_left, s_right = (d_lo - dx) / (x - lo), (d_hi - dx) / (hi - x)
+        y = x + dx / s_left if s_left >= s_right else x - dx / s_right
+        if not lo < y < hi:
+            if abs(x - (lo if y < x else hi)) <= 16.0 * tol:
+                return x  # the samples next to x differ by rounding only
+            y = 0.5 * (lo + x) if x - lo > hi - x else 0.5 * (x + hi)
         if abs(y - x) <= tol or y in (lo, hi):
             return x
         pts.append((y, math.exp(log_d(y) - ref)))
@@ -160,44 +146,26 @@ def _v_bottom(log_d, cell: Sequence[tuple[float, float]]) -> float:
 def _refine_dip(g: MetricGraph, eps: float, cell: Sequence[tuple[float, float, float]]) -> tuple[float, float]:
     """The bottom lam* of |det A| in the grid cell [a, b] around the dip
     node m, and the 2-norm reciprocal condition there, from the grid's
-    (lam, log|det A|, rcond) at a, m and b.
+    (lam, log|det A|, rcond) at a, m and b, where log|det A| is a strict
+    local minimum at m.
 
     |det A| carries no phase, so the search does not depend on how fast
     the phase of det A turns across the cell: it turns with every broad
     resonance of the open network, not only at the zero.  At an embedded
     eigenvalue the bottom is an exact zero, which _v_bottom finds down to
-    float spacing; in a cell with no real zero it is a smooth minimum or a
-    cell end, and the caller compares its depth with the grid node's.
-    Only off-grid samples are factored here: at a grid node lam* the
-    reciprocal condition is the grid's own.
+    float spacing; in a cell with no real zero it is a smooth minimum, and
+    the caller compares its depth with the grid node's.  The reciprocal
+    condition at an off-grid lam* comes from solve_scattering there; at the
+    node it is the grid's own.
     """
-    # log|det A|, lam, matrix and factor of the lowest off-grid sample so
-    # far: with the factor being made, at most two factors are alive at once
-    lowest: tuple = (math.inf, None, None, None)
-
     def log_d(lam: float) -> float:
-        nonlocal lowest
-        matrix, lu = _factor(g, lam, eps)
-        log_det = _log_abs_det(lu)
-        if log_det < lowest[0]:
-            lowest = (log_det, lam, matrix, lu)
-        return log_det
+        return _log_abs_det(_factor(g, lam, eps))
 
-    lam_star = _v_bottom(log_d, [(lam, log_det) for lam, log_det, _ in cell])  # one of the samples
-    for lam, _, rcond in cell:
-        if lam == lam_star:
-            return lam_star, rcond
-    _, lam_low, matrix, lu = lowest
-    if lam_low != lam_star:  # the lowest samples tie (all singular, say)
-        matrix, lu = _factor(g, lam_star, eps)
-    return lam_star, _rcond(matrix, lu)
-
-
-def _rcond(matrix, lu) -> float:
-    if lu is None:
-        return 0.0
-    with np.errstate(all="ignore"):
-        return _estimate_rcond(matrix, lu)
+    lam_star = _v_bottom(log_d, [(lam, log_det) for lam, log_det, _ in cell])
+    node, _, node_rcond = cell[1]
+    if lam_star == node:
+        return lam_star, node_rcond
+    return lam_star, solve_scattering(g, SolveRequest(lam=lam_star, eps=eps), allow_flagged=True).rcond
 
 
 def sweep(
@@ -211,7 +179,7 @@ def sweep(
 
     The interval must exclude every cross-section threshold of every
     channel.  Uncertified grid points are grouped into maximal flagged
-    intervals.  Each strict local minimum of the conditioning curve is
+    intervals.  Each strict local minimum of the grid's log|det A| is
     refined to the bottom of |det A| between its grid neighbours (the node
     itself when the bottom there is better conditioned than the node), and
     the grid rows within one step of it are flagged when the reciprocal
@@ -238,13 +206,14 @@ def sweep(
     dips: list[tuple[float, float]] = []
     if steps >= 3:
         step = (lam_hi - lam_lo) / (steps - 1)
-        rc = [rcond for _, _, rcond in grid]
         for i in range(1, steps - 1):
-            if not (rc[i] < rc[i - 1] and rc[i] < rc[i + 1]):
+            cell = grid[i - 1 : i + 2]
+            (_, log_lo, _), (lam, log_det, rcond), (_, log_hi, _) = cell
+            if not (log_det < log_lo and log_det < log_hi):
                 continue
-            lam_star, dip = _refine_dip(g, eps, grid[i - 1 : i + 2])
-            if dip > rc[i]:  # no real zero of det A in the cell: the node is the bottom
-                lam_star, dip = grid[i][0], rc[i]
+            lam_star, dip = _refine_dip(g, eps, cell)
+            if dip > rcond:  # no real zero of det A in the cell: the node is the bottom
+                lam_star, dip = lam, rcond
             dips.append((lam_star, dip))
             if dip < RCOND_TOL:
                 for j, row in enumerate(rows):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import types
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -219,6 +221,19 @@ def lattice_network(rng: np.random.Generator, side: int = 4, lam: float = 5.0) -
         t = admissible_junction(_vertex_k(channels, ends, lam), rng)
         vertices.append(Vertex(v, tuple(ends), MatrixJunction(lam, t)))
     return MetricGraph(channels=tuple(channels), vertices=tuple(vertices))
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name: str) -> types.ModuleType:
+    """perfbench/<name>.py, executed from its source text so that no
+    bytecode cache is written next to it."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(name)
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
 
 
 # ---------------------------------------------------------------------------

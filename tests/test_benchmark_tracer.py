@@ -4,9 +4,6 @@ it must put every original back."""
 
 from __future__ import annotations
 
-import types
-from pathlib import Path
-
 import fiberwave.cli as cli
 import fiberwave.cross_section as cs
 import fiberwave.graph_model as gm
@@ -14,15 +11,7 @@ import fiberwave.graph_solver as gs
 import fiberwave.helmholtz_oracle as ho
 import fiberwave.spectrum_tools as st
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-
-
-def _load_tracing() -> types.ModuleType:
-    # executed from its source text, so no bytecode cache is written next to it
-    module = types.ModuleType("tracing")
-    module.__file__ = str(TRACING)
-    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
-    return module
+from conftest import load_perfbench
 
 
 def _namespaces() -> dict:
@@ -32,7 +21,7 @@ def _namespaces() -> dict:
 
 
 def test_tracer_install_patches_and_uninstall_restores():
-    tracing = _load_tracing()
+    tracing = load_perfbench("tracing")
     before = _namespaces()
     tracer = tracing.Tracer()
     try:

@@ -415,6 +415,26 @@ def solve_lead(tmp_path, **fields):
     return ["solve", "--graph", lead_graph_json(tmp_path, **fields), "--lambda", "2", "--eps", "0.1"]
 
 
+def solve_lead_with_ids(tmp_path, cid, start, vid, end_cid):
+    """solve on a lead of width pi on a Dirichlet vertex, with the given
+    channel id, start vertex, vertex id and channel id in the vertex's ends."""
+    channel = {"id": cid, "length": "inf", "cross_section": {"shape": "interval", "dims": [math.pi]}, "start": start, "end": None}
+    vertex = {"id": vid, "ends": [[end_cid, "start"]], "junction": {"kind": "dirichlet"}}
+    path = write_json(tmp_path / "lead.json", {"channels": [channel], "vertices": [vertex]})
+    return ["solve", "--graph", path, "--lambda", "2", "--eps", "0.1"]
+
+
+def junction_on_cross_with(tmp_path, part, value):
+    """junction on the pi/16 cross's geometry file with its first core or
+    its first stub rect replaced by `value`."""
+    geo = geometry_json(cross_geometry(math.pi, 2 * math.pi, math.pi / 16))
+    if part == "core":
+        geo["cores"][0] = value
+    else:
+        geo["stubs"][0]["rect"] = value
+    return ["junction", "--geometry", write_json(tmp_path / "geo.json", geo), "--lambda", "2"]
+
+
 def not_utf8_graph(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"channels": [], "vertices": [], "note": "\u00e9"}'.encode("latin-1"))
@@ -450,11 +470,21 @@ def not_utf8_graph(tmp_path):
         (lambda p: solve_lead(p, cross_section={"shape": "interval", "dims": [math.pi, 7]}), "got [3.141592653589793, 7]"),
         (lambda p: solve_lead(p, length=-math.inf), "bad_length"),
         (lambda p: solve_lead(p, length="-inf"), "bad_length"),
+        (lambda p: solve_lead_with_ids(p, 1.9, 1.6, 1, 1.2), "got 1.9"),
+        (lambda p: solve_lead_with_ids(p, "1", 1, 1, 1), "got '1'"),
+        (lambda p: solve_lead_with_ids(p, 1, True, 1, 1), "got True"),
+        (lambda p: solve_lead_with_ids(p, 1, 1, 1.0, 1), "got 1.0"),
+        (lambda p: solve_lead_with_ids(p, 1, 1, 1, 1.0), "got 1.0"),
+        (lambda p: junction_on_cross_with(p, "rect", "9003"), "got '9003'"),
+        (lambda p: junction_on_cross_with(p, "core", "0033"), "got '0033'"),
+        (lambda p: junction_on_cross_with(p, "core", [0.0, 0.0, 3.0]), "got [0.0, 0.0, 3.0]"),
     ],
     ids=[
         "geometry-array", "grid-spacing-nan", "junction-string", "oracle-geometry-list", "graph-not-utf8",
         "eps-empty-item", "eps-not-number", "eps-repeated", "dims-string", "dims-numeric-string",
         "dims-two-for-interval", "length-minus-infinity", "length-minus-inf-string",
+        "ids-truncated", "id-string", "start-bool", "vertex-id-float", "ends-id-float",
+        "rect-string", "core-string", "core-three-numbers",
     ],
 )
 def test_malformed_input_exits_invalid(tmp_path, capsys, argv, bad):

@@ -32,6 +32,7 @@ from fiberwave.graph_model import (
 from fiberwave.graph_solver import (
     EdgeWaveField,
     _estimate_rcond,
+    _log_abs_det,
     _oracle_matrix,
     SolveRequest,
     assemble_system,
@@ -494,8 +495,8 @@ def test_wave_fields_follow_mode_ordering():
 
 
 def test_estimate_rcond_exactly_singular_is_zero(monkeypatch):
-    # SuperLU raises on an exactly singular matrix; both the solve and the
-    # dip refinement report it as rcond 0
+    # SuperLU raises on an exactly singular matrix: the solve reports it as
+    # rcond 0, and the dip refinement as no factor, whose log|det A| is -inf
     import fiberwave.graph_solver as gs
     import fiberwave.spectrum_tools as st
 
@@ -505,7 +506,8 @@ def test_estimate_rcond_exactly_singular_is_zero(monkeypatch):
     )
     monkeypatch.setattr(gs, "assemble_system", lambda g, req: singular)
     monkeypatch.setattr(st, "assemble_system", lambda g, req: singular)
-    assert st._rcond(*st._factor(g, req.lam, req.eps)) == 0.0
+    assert st._factor(g, req.lam, req.eps) is None
+    assert _log_abs_det(None) == -math.inf
     ns = solve_scattering(g, req, allow_flagged=True)
     assert ns.rcond == 0.0
     assert not ns.certified
