@@ -31,6 +31,7 @@ from .graph_solver import (
     energy_report,
     gc_residual,
     resolve_vertex,
+    solve_batch,
     solve_scattering,
     wave_fields,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "gc_residual",
     "lambda0",
     "resolve_vertex",
+    "solve_batch",
     "solve_scattering",
     "validate_graph",
     "wave_fields",

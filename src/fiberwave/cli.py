@@ -11,7 +11,9 @@ file format is JSON:
 
 Junction kinds: dirichlet, transparent, matrix (fields lambda, matrix),
 tabulated (field table: list of {lambda, matrix}), from_oracle (field
-geometry).  Ids, start, end and the ids in ends are JSON integers.
+geometry).  Ids, start, end and the ids in ends are JSON integers.  A
+length is a JSON number or the string "inf", and a junction lambda and a
+geometry's h are JSON numbers (not strings, not bools).
 Complex numbers are [re, im] pairs of JSON numbers, and an empty matrix
 [] is 0 x 0.  Geometries are {"cores": [[x0,y0,x1,y1], ...], "stubs":
 [{"rect": [...], "direction": "+x"}, ...], "h": ...}, each core and rect
@@ -88,15 +90,24 @@ def _matrix_in(rows) -> np.ndarray:
 
 
 def _numbers(x, count: int, what: str) -> tuple[float, ...]:
-    """`x` as exactly `count` JSON numbers; `what` names it in the error."""
+    """`x` as a list of exactly `count` JSON numbers (not strings, not
+    bools); `what` names it in the error."""
     try:
         a = np.asarray(x)
-        ok = a.dtype.kind in "biuf" and a.shape == (count,)
+        ok = a.dtype.kind in "iuf" and a.shape == (count,)
     except ValueError:  # a ragged list
         ok = False
     if not ok:
         raise ParseError(f"{what} needs {count} number(s), got {x!r}")
     return tuple(map(float, a))
+
+
+def _number(x, what: str) -> float:
+    """`x` as one JSON number (not a string, not a bool); `what` names it
+    in the error."""
+    if type(x) not in (int, float):
+        raise ParseError(f"{what} needs a number, got {x!r}")
+    return float(x)
 
 
 def _id(x) -> int:
@@ -133,7 +144,7 @@ def geometry_from_json(d: dict) -> PlanarGeometry:
             Stub(rect=_numbers(s["rect"], 4, "geometry stub rect"), direction=str(s["direction"]))
             for s in d["stubs"]
         )
-        return PlanarGeometry(cores=cores, stubs=stubs, h=float(d["h"]))
+        return PlanarGeometry(cores=cores, stubs=stubs, h=_number(d["h"], "geometry h"))
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ParseError(f"bad geometry block: {exc}") from exc
 
@@ -148,14 +159,14 @@ def junction_from_json(d: dict):
         return Transparent()
     if kind == "matrix":
         try:
-            return MatrixJunction(lam=float(d["lambda"]), matrix=_matrix_in(d["matrix"]))
+            return MatrixJunction(lam=_number(d["lambda"], "matrix junction lambda"), matrix=_matrix_in(d["matrix"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad matrix junction: {exc}") from exc
     if kind == "tabulated":
         try:
             table = d["table"]
             return TabulatedJunction(
-                lams=[float(row["lambda"]) for row in table],
+                lams=[_number(row["lambda"], "tabulated junction lambda") for row in table],
                 mats=[_matrix_in(row["matrix"]) for row in table],
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -170,7 +181,10 @@ def graph_from_json(d: dict) -> MetricGraph:
         channels = []
         for c in d["channels"]:
             raw_len = c["length"]
-            length = math.inf if raw_len == "inf" else float(raw_len)
+            if raw_len in ("inf", "-inf"):  # "-inf" reads, to be reported as a bad_length violation
+                length = float(raw_len)
+            else:
+                length = _number(raw_len, f"channel {c.get('id')!r} length")
             channels.append(
                 Channel(
                     id=_id(c["id"]),

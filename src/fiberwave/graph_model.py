@@ -141,6 +141,10 @@ class MetricGraph:
     def infinite_channel_ids(self) -> tuple[int, ...]:
         return tuple(sorted(c.id for c in self.channels if c.is_infinite))
 
+    @cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        return tuple(_find_violations(self))
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -209,8 +213,13 @@ def validate_graph(g: MetricGraph) -> list[Violation]:
     """Every invariant violation of the graph description, empty if valid.
 
     Violations are data, not failures: callers that require a valid graph
-    raise GraphInvalid with this list.
+    raise GraphInvalid with this list.  The graph is immutable, so it is
+    checked once per instance and later calls return the same findings.
     """
+    return list(g._violations)
+
+
+def _find_violations(g: MetricGraph) -> list[Violation]:
     out: list[Violation] = []
 
     seen_cids: set[int] = set()

@@ -20,6 +20,14 @@ Solving with the incident-wave right-hand sides (unit incoming amplitude
 on one propagating mode of one infinite channel, zero on the others)
 produces the M x M network scattering matrix T; D^{1/2} T D^{-1/2} is
 unitary and symmetric whenever every junction matrix has that property.
+
+Solves run in batches: the systems of several lambdas that share every
+channel's propagating-mode count are assembled as the diagonal blocks of
+one sparse matrix, which is factored once, solved once for all incident
+waves and condition-estimated block by block in one iteration.  A single
+lambda is a batch of one.  Blocks do not couple, so each block's result
+equals its own single solve up to rounding (the factorization orders the
+columns of the whole matrix).
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,6 +55,7 @@ from . import cross_section as cs
 from .errors import (
     DimensionMismatch,
     GraphInvalid,
+    IntervalContainsThreshold,
     NearSingular,
     SingularAtThreshold,
     UnresolvableJunction,
@@ -75,10 +84,10 @@ _TWO_PI = np.longdouble("6.283185307179586476925286766559005768394")
 
 
 def propagation_phase(k, length, eps: float):
-    """exp(i k length / eps), elementwise over arrays, with the argument
-    reduced mod 2 pi in extended precision, so the phase stays accurate for
-    eps down to 1e-6."""
-    phi = np.asarray(k, dtype=np.longdouble) * np.asarray(length, dtype=np.longdouble) / np.longdouble(eps)
+    """exp(i k length / eps), elementwise over broadcast arrays, with the
+    argument reduced mod 2 pi in extended precision, so the phase stays
+    accurate for eps down to 1e-6."""
+    phi = np.asarray(k, dtype=np.longdouble) * np.asarray(length, dtype=np.longdouble) / np.asarray(eps, dtype=np.longdouble)
     phi = np.mod(phi, _TWO_PI).astype(np.float64)
     return np.cos(phi) + 1j * np.sin(phi)
 
@@ -99,7 +108,9 @@ class SolveRequest:
 @dataclass
 class VertexScatteringResolved:
     """Junction matrix of one vertex at a fixed lambda, with its local mode
-    order: entries[r] = (channel id, which end, mode index)."""
+    order: entries[r] = (channel id, which end, mode index).  Resolved at
+    an array of lambdas, d_diag carries a leading batch axis, and so does
+    t_matrix when the junction varies with lambda."""
 
     entries: tuple[tuple[int, str, int], ...]
     t_matrix: np.ndarray
@@ -151,35 +162,52 @@ class NetworkScattering:
 @dataclass
 class LinearSystem:
     """Square system A x = rhs[:, c], one column per incident wave; A is
-    sparse (CSC) and rhs dense."""
+    sparse (CSC) and rhs dense.  A batch of B requests stacks B systems of
+    the plan's n unknowns: A is block diagonal, block b in rows and columns
+    b n to (b + 1) n, and rhs stacks their right-hand sides."""
 
     matrix: sp.csc_matrix
     rhs: np.ndarray
-    d_diag: np.ndarray  # wavenumber of each entry of the mode ordering
-    plan: _SolvePlan  # the index arrays the system was scattered through
+    d_diag: np.ndarray  # B x M: wavenumber of each entry of the mode ordering
+    plan: _SolvePlan  # the index arrays every block was scattered through
 
 
-def resolve_vertex(g: MetricGraph, v: Vertex, lam: float) -> VertexScatteringResolved:
+def resolve_vertex(g: MetricGraph, v: Vertex, lam) -> VertexScatteringResolved:
     """Junction matrix, local mode order and local wavenumber diagonal of a
     vertex at the given lambda; SingularAtThreshold within the exclusion
-    window of a threshold of an incident channel."""
+    window of a threshold of an incident channel.
+
+    `lam` is a float, or a 1-D array of lambdas at which every incident
+    channel propagates the same modes; an array gives d_diag a leading
+    batch axis, and t_matrix one too unless the junction is constant in
+    lambda.  The thresholds are read at the batch's two ends only: a
+    threshold at or between them changes a count or collides at an end,
+    which raises IntervalContainsThreshold or SingularAtThreshold.
+    """
+    batch = isinstance(lam, np.ndarray)
+    lams = lam.astype(float, copy=False) if batch else np.array([lam], dtype=float)
+    lo, hi = float(lams.min()), float(lams.max())  # NaN if any is: thresholds_below rejects it
     entries: list[tuple[int, str, int]] = []
     per_end_ks: list[np.ndarray] = []
     floor = math.inf  # lowest threshold of the ends, if any end propagates
     for cid, which in v.ends:
+        shape = g.channel(cid).cross_section
         try:
-            ths = cs.thresholds_below(g.channel(cid).cross_section, lam)
+            ths = cs.thresholds_below(shape, lo)
+            straddles = hi != lo and cs.thresholds_below(shape, hi) != ths
         except cs.ThresholdCollision as exc:
-            raise SingularAtThreshold(
-                f"lambda={lam!r} collides with a threshold of channel {cid}"
-            ) from exc
+            raise SingularAtThreshold(f"channel {cid}: {exc}") from exc
+        if straddles:
+            raise IntervalContainsThreshold(
+                f"vertex {v.id}: a threshold of channel {cid} lies between lambda={lo!r} and {hi!r}"
+            )
         if ths:
             floor = min(floor, ths[0])
-        ks = np.sqrt(lam - np.asarray(ths, dtype=float))
+        ks = np.sqrt(lams[:, None] - np.asarray(ths, dtype=float))
         per_end_ks.append(ks)
-        entries.extend((cid, which, n) for n in range(len(ks)))
+        entries.extend((cid, which, n) for n in range(len(ths)))
     dim = len(entries)
-    d_arr = np.concatenate(per_end_ks) if per_end_ks else np.zeros(0)
+    d_arr = np.concatenate(per_end_ks, axis=1) if per_end_ks else np.zeros((len(lams), 0))
 
     j = v.junction
     if isinstance(j, Dirichlet):
@@ -187,48 +215,52 @@ def resolve_vertex(g: MetricGraph, v: Vertex, lam: float) -> VertexScatteringRes
     elif isinstance(j, Transparent):
         if len(v.ends) != 2:
             raise UnresolvableJunction(f"vertex {v.id}: transparent junction needs two ends")
-        p0, p1 = (len(ks) for ks in per_end_ks)
+        p0, p1 = (ks.shape[1] for ks in per_end_ks)
         if p0 != p1:
             raise DimensionMismatch(f"vertex {v.id}: transparent ends have {p0} vs {p1} modes")
         t = np.zeros((dim, dim), dtype=complex)
         t[:p0, p0:] = np.eye(p0)
         t[p0:, :p0] = np.eye(p0)
     elif isinstance(j, MatrixJunction):
-        if abs(j.lam - lam) > cs.threshold_window(lam):
-            raise UnresolvableJunction(
-                f"vertex {v.id}: matrix junction declared at lambda={j.lam!r}, requested {lam!r}"
-            )
+        for x in lams.tolist():
+            if abs(j.lam - x) > cs.threshold_window(x):
+                raise UnresolvableJunction(
+                    f"vertex {v.id}: matrix junction declared at lambda={j.lam!r}, requested {x!r}"
+                )
         t = j.matrix
     elif isinstance(j, TabulatedJunction):
-        t = _interpolate_table(v, j, lam, floor)
+        t = _interpolate_table(v, j, lams, floor)
     elif isinstance(j, OracleJunction):
-        t = _resolve_oracle(g, v, j, lam)
+        t = np.stack([_resolve_oracle(g, v, j, x) for x in lams])
     else:
         raise UnresolvableJunction(f"vertex {v.id}: unknown junction model {j!r}")
 
-    if t.shape != (dim, dim):
+    if t.shape[-2:] != (dim, dim):
         raise DimensionMismatch(
-            f"vertex {v.id}: junction matrix is {t.shape}, expected {(dim, dim)} at lambda={lam!r}"
+            f"vertex {v.id}: junction matrix is {t.shape[-2:]}, expected {(dim, dim)} at lambda={float(lams[0])!r}"
         )
-    return VertexScatteringResolved(entries=tuple(entries), t_matrix=t, d_diag=d_arr)
+    if batch:
+        return VertexScatteringResolved(entries=tuple(entries), t_matrix=t, d_diag=d_arr)
+    return VertexScatteringResolved(entries=tuple(entries), t_matrix=t.reshape(dim, dim), d_diag=d_arr[0])
 
 
-def _interpolate_table(v, j: TabulatedJunction, lam: float, floor: float) -> np.ndarray:
-    """Table entry at lam, linear in the z-chart z = sqrt(lam - floor) of
-    the ends' lowest threshold `floor`; infinite when no end propagates,
-    and the junction is then 0 x 0."""
-    lams, mats = j.lams, j.mats
-    if not lams[0] <= lam <= lams[-1]:
+def _interpolate_table(v, j: TabulatedJunction, lams: np.ndarray, floor: float) -> np.ndarray:
+    """Table entries at lams, linear in the z-chart z = sqrt(lam - floor) of
+    the ends' lowest threshold `floor`; one matrix for every lam when the
+    table has one sample or no end propagates (the junction is then 0 x 0)."""
+    outside = (lams < j.lams[0]) | (lams > j.lams[-1])
+    if outside.any():
         raise UnresolvableJunction(
-            f"vertex {v.id}: lambda={lam!r} outside tabulated range [{float(lams[0])!r}, {float(lams[-1])!r}]"
+            f"vertex {v.id}: lambda={float(lams[outside][0])!r} outside tabulated range "
+            f"[{float(j.lams[0])!r}, {float(j.lams[-1])!r}]"
         )
+    mats = j.mats
     if len(mats) == 1 or floor == math.inf:
         return mats[0]
-    z = math.sqrt(max(lam - floor, 0.0))
-    zs = np.sqrt(np.maximum(lams - floor, 0.0))
-    i = int(np.searchsorted(zs, z, side="right"))
-    i = min(max(i, 1), len(zs) - 1)
-    w = (z - zs[i - 1]) / (zs[i] - zs[i - 1])
+    z = np.sqrt(np.maximum(lams - floor, 0.0))
+    zs = np.sqrt(np.maximum(j.lams - floor, 0.0))
+    i = np.clip(np.searchsorted(zs, z, side="right"), 1, len(zs) - 1)
+    w = ((z - zs[i - 1]) / (zs[i] - zs[i - 1]))[:, None, None]
     return (1.0 - w) * mats[i - 1] + w * mats[i]
 
 
@@ -362,8 +394,22 @@ def _build_plan(g: MetricGraph, entries: tuple[tuple[tuple[int, str, int], ...],
     )
 
 
-def assemble_system(g: MetricGraph, req: SolveRequest) -> LinearSystem:
-    """Assemble the vertex coupling conditions into a square complex system.
+def _block_pattern(plan: _SolvePlan, blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSC column pointers and row indices of `blocks` copies of the plan's
+    pattern down the diagonal; one block is the plan's own arrays."""
+    if blocks == 1:
+        return plan.indptr, plan.indices
+    n, nnz = len(plan.unknowns), len(plan.indices)
+    shift = np.arange(blocks, dtype=np.int32)[:, None]
+    indptr = np.append((plan.indptr[:-1] + nnz * shift).ravel(), np.int32(blocks * nnz))
+    return indptr, (plan.indices + n * shift).ravel()
+
+
+def assemble_system(g: MetricGraph, reqs: Union[SolveRequest, Sequence[SolveRequest]]) -> LinearSystem:
+    """Assemble the vertex coupling conditions into a square complex system,
+    one diagonal block per request of a batch (one request is a batch of
+    one).  Every lambda of a batch must give every channel the same
+    propagating-mode count.
 
     Unknowns are the alpha amplitudes of every channel plus the beta
     amplitudes of finite channels; incident beta amplitudes on infinite
@@ -376,18 +422,23 @@ def assemble_system(g: MetricGraph, req: SolveRequest) -> LinearSystem:
 
     which is scattered through the graph's solve plan into the data of a
     CSC matrix and into the dense right-hand side.  The plan, with the CSC
-    pattern, is built once per graph, after one validate_graph call, and
-    again only when some channel's propagating-mode count changes.
+    pattern, is built once per graph, after validate_graph, and again only
+    when some channel's propagating-mode count changes.  Each vertex is
+    resolved once per batch.
     """
+    if isinstance(reqs, SolveRequest):
+        reqs = (reqs,)
     # The plan lives on the (immutable) graph instance.
     plan: Optional[_SolvePlan] = getattr(g, "_solve_plan", None)
     if plan is None:
         violations = validate_graph(g)
         if violations:
             raise GraphInvalid(violations)
-    lam, eps = req.lam, req.eps
+    lams = np.array([req.lam for req in reqs], dtype=float)
+    eps = np.array([[req.eps] for req in reqs], dtype=float)
+    blocks = len(reqs)
 
-    resolved = [resolve_vertex(g, v, lam) for v in g.vertices]
+    resolved = [resolve_vertex(g, v, lams) for v in g.vertices]
     entries = tuple(res.entries for res in resolved)
     if plan is None or plan.entries != entries:
         plan = _build_plan(g, entries)
@@ -395,20 +446,27 @@ def assemble_system(g: MetricGraph, req: SolveRequest) -> LinearSystem:
 
     # Every channel's start end belongs to exactly one vertex (the graph is
     # valid), so the wavenumbers of that end are the channel's.
-    k_rows = np.concatenate([res.d_diag for res in resolved])
+    k_rows = np.concatenate([res.d_diag for res in resolved], axis=1)
 
-    in_phase = np.ones(len(k_rows), dtype=complex)
-    in_phase[plan.end_rows] = propagation_phase(k_rows[plan.end_rows], plan.end_lengths, eps)
-    t_flat = np.concatenate([res.t_matrix.ravel() for res in resolved])
-    values = 2j * np.concatenate((-t_flat * in_phase[plan.block_src], in_phase.conj()))
-    n, nnz = len(plan.unknowns), len(plan.indices)
-    filled = np.zeros(nnz + n * plan.ordering.M, dtype=complex)
+    in_phase = np.ones(k_rows.shape, dtype=complex)
+    in_phase[:, plan.end_rows] = propagation_phase(k_rows[:, plan.end_rows], plan.end_lengths, eps)
+    t_flat = np.empty((blocks, len(plan.block_src)), dtype=complex)
+    start = 0
+    for res in resolved:  # a junction constant in lambda fills every block
+        t = res.t_matrix
+        t_flat[:, start : start + res.dim**2] = t.reshape(t.shape[:-2] + (res.dim**2,))
+        start += res.dim**2
+    values = 2j * np.concatenate((-t_flat * in_phase[:, plan.block_src], in_phase.conj()), axis=1)
+    n, nnz, m = len(plan.unknowns), len(plan.indices), plan.ordering.M
+    width = nnz + n * m
+    filled = np.zeros((blocks, width), dtype=complex)
     # accumulate: a loop channel puts two values on one slot
-    np.add.at(filled, plan.slots, values)
+    np.add.at(filled.reshape(-1), (width * np.arange(blocks)[:, None] + plan.slots).ravel(), values.ravel())
+    indptr, indices = _block_pattern(plan, blocks)
     return LinearSystem(
-        matrix=sp.csc_matrix((filled[:nnz], plan.indices, plan.indptr), shape=(n, n)),
-        rhs=-filled[nnz:].reshape(n, plan.ordering.M),
-        d_diag=k_rows[plan.alpha_rows][plan.ordering_alpha],
+        matrix=sp.csc_matrix((filled[:, :nnz].ravel(), indices, indptr), shape=(blocks * n, blocks * n)),
+        rhs=-filled[:, nnz:].reshape(blocks * n, m),
+        d_diag=k_rows[:, plan.alpha_rows][:, plan.ordering_alpha],
         plan=plan,
     )
 
@@ -419,106 +477,141 @@ def lu_solve(lu, b: np.ndarray) -> np.ndarray:
     return lu.solve(b)
 
 
-def _log_abs_det(lu) -> float:
-    """log|det A| read off the SuperLU factor Pr A Pc = L U: L has a unit
-    diagonal and SuperLU does not equilibrate, so it is the sum of
-    log|U_ii|.  No factor (an exactly singular matrix) gives -inf."""
+def _log_abs_det(lu, blocks: int = 1) -> np.ndarray:
+    """log|det| of each of the `blocks` equal-sized diagonal blocks of A,
+    read off the SuperLU factor Pr A Pc = L U: L has a unit diagonal and
+    SuperLU does not equilibrate, so it is the sum of log|U_jj| over the
+    block's pivots, which perm_c maps back to the block's columns.  They
+    are summed in pivot order, as for a block factored alone.  No factor
+    (an exactly singular matrix) gives -inf."""
     if lu is None:
-        return -math.inf
-    return float(np.sum(np.log(np.abs(lu.U.diagonal()))))
+        return np.full(blocks, -math.inf)
+    logs = np.log(np.abs(lu.U.diagonal()))
+    block_of_pivot = np.empty(len(logs), dtype=np.intp)
+    block_of_pivot[lu.perm_c] = np.arange(len(logs)) // (len(logs) // blocks)
+    order = np.argsort(block_of_pivot, kind="stable")
+    return logs[order].reshape(blocks, -1).sum(axis=1)
 
 
-def _estimate_rcond(a: sp.csc_matrix, lu) -> float:
-    """Estimate of sigma_min / sigma_max of the sparse matrix `a`, its 2-norm
-    reciprocal condition number: 12 steps of power iteration on A^H A for
-    sigma_max, through products with `a` and its transpose, and 30 steps of
-    inverse power iteration for sigma_min, each a solve with A^H and then
-    with A through the SuperLU factor `lu` of `a`.  Both start from fixed
-    random vectors, so the estimate of a matrix is reproducible.  The factor
-    must be complex: a real one rejects the complex iterate.  A pivot small
-    enough to make the iterate non-finite gives 0."""
-    n = a.shape[0]
+def _estimate_rcond(a: sp.csc_matrix, lu, blocks: int = 1) -> np.ndarray:
+    """Estimate of sigma_min / sigma_max of each of the `blocks` equal-sized
+    diagonal blocks of the sparse matrix `a`, their 2-norm reciprocal
+    condition numbers: 12 steps of power iteration on A^H A for sigma_max,
+    through products with `a` and its transpose, and 30 steps of inverse
+    power iteration for sigma_min, each a solve with A^H and then with A
+    through the SuperLU factor `lu` of `a`.  Every block starts from the
+    same fixed random vectors, so the estimate of a matrix is reproducible,
+    and is normalized by its own norm: a block whose iterate vanishes
+    keeps its last sigma_max, and a block whose inverse iterate vanishes
+    or becomes non-finite (a pivot that small) gives 0 and is held at zero
+    from then on.  The factor must be complex: a real one rejects the
+    complex iterate."""
+    n = a.shape[0] // blocks
     if n == 0:
-        return 1.0
+        return np.ones(blocks)
+
+    def norms(x: np.ndarray) -> np.ndarray:
+        v = x.view(np.float64)
+        return np.sqrt(np.einsum("ij,ij->i", v, v))
+
     rng = np.random.default_rng(0x5EED)
     x = rng.normal(size=n) + 1j * rng.normal(size=n)
-    x /= np.linalg.norm(x)
+    x = np.tile(x / np.linalg.norm(x), (blocks, 1))
     a_t = a.T
-    smax = 0.0
-    for _ in range(12):
-        y = a @ x
-        x = np.conj(a_t @ np.conj(y))
-        nx = np.linalg.norm(x)
-        if nx == 0:
-            break
-        smax = math.sqrt(nx)
-        x /= nx
-    x = rng.normal(size=n) + 1j * rng.normal(size=n)
-    x /= np.linalg.norm(x)
-    inv_smin = 0.0
-    for _ in range(30):
-        x = lu.solve(lu.solve(x, trans="H"))
-        nx = np.linalg.norm(x)
-        if not np.isfinite(nx) or nx == 0:
-            return 0.0
-        inv_smin = math.sqrt(nx)
-        x /= nx
-    if smax == 0.0:
-        return 1.0
-    return 1.0 / (inv_smin * smax) if inv_smin > 0 else 1.0
+    smax = np.zeros(blocks)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(12):
+            x = np.conj(a_t @ np.conj(a @ x.ravel())).reshape(blocks, n)
+            nx = norms(x)
+            # a vanished iterate reads 0, then NaN: the block keeps its last sigma_max
+            smax = np.where(nx > 0, np.sqrt(nx), smax)
+            x /= nx[:, None]
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        x = np.tile(x / np.linalg.norm(x), (blocks, 1))
+        live = np.ones(blocks, dtype=bool)
+        for _ in range(30):
+            x = lu.solve(lu.solve(x.ravel(), trans="H")).reshape(blocks, n)
+            nx = norms(x)
+            live &= np.isfinite(nx) & (nx > 0)
+            x /= nx[:, None]
+            if not live.all():
+                x[~live] = 0.0
+        rcond = np.where(smax > 0, 1.0 / (np.sqrt(nx) * smax), 1.0)
+    return np.where(live, rcond, 0.0)
 
 
-def solve_scattering(g: MetricGraph, req: SolveRequest, *, allow_flagged: bool = False) -> NetworkScattering:
-    """Solve the graph scattering problem for all incident waves from one
-    factorization.
+def solve_batch(
+    g: MetricGraph, reqs: Sequence[SolveRequest], *, allow_flagged: bool = False
+) -> list[NetworkScattering]:
+    """Solve the graph scattering problem at every request of a batch, for
+    all incident waves, from one factorization of the block-diagonal
+    system; one NetworkScattering per request, in order.  Every lambda of
+    the batch must give every channel the same propagating-mode count.
 
-    Returns the network scattering matrix together with the solved
-    amplitude block and log|det A| of the factored system; wave_fields
-    turns the block into per-incident wave fields.  When the reciprocal
-    condition estimate falls below RCOND_TOL the result is not certified:
-    NearSingular is raised unless `allow_flagged` is set, in which case the
-    flagged result is returned.
+    Each result carries the network scattering matrix together with its
+    block of solved amplitudes and log|det A| of its block; wave_fields
+    turns the block into per-incident wave fields.  When a block's
+    reciprocal condition estimate falls below RCOND_TOL its result is not
+    certified: NearSingular is raised for the first such request unless
+    `allow_flagged` is set, in which case flagged results are returned.  A
+    block whose solve is not finite (a tiny pivot) has NaN amplitudes and
+    rcond 0.  An exactly singular block stops the factorization of the
+    whole matrix, and the batch is then solved one request at a time.
     """
-    system = assemble_system(g, req)
-    a, b = system.matrix, system.rhs
+    system = assemble_system(g, reqs)
+    a, b, plan = system.matrix, system.rhs, system.plan
+    blocks, n, m = len(reqs), len(plan.unknowns), plan.ordering.M
 
-    x, rcond, log_abs_det = np.full(b.shape, np.nan, dtype=complex), 0.0, -math.inf
-    if not a.shape[0]:
-        x, rcond, log_abs_det = b.copy(), 1.0, 0.0
+    x = np.full(b.shape, np.nan, dtype=complex)
+    rcond, log_abs_det = np.zeros(blocks), np.full(blocks, -math.inf)
+    if not n:
+        x, rcond, log_abs_det = b.copy(), np.ones(blocks), np.zeros(blocks)
     else:
         with np.errstate(all="ignore"):
             try:
                 lu = lu_factor(a)
-            except RuntimeError:  # SuperLU: the matrix is exactly singular
-                pass
+            except RuntimeError:  # SuperLU: some block is exactly singular
+                if blocks > 1:
+                    return [ns for req in reqs for ns in solve_batch(g, [req], allow_flagged=allow_flagged)]
             else:
                 y = lu_solve(lu, b)
-                # a tiny pivot leaves y non-finite, which is reported like
-                # an exactly singular LU
-                if np.all(np.isfinite(y)):
-                    x, rcond = y, _estimate_rcond(a, lu)
+                # a tiny pivot leaves a block of y non-finite, which is
+                # reported like an exactly singular LU
+                finite = np.isfinite(y).reshape(blocks, n * m).all(axis=1)
+                rows = np.repeat(finite, n)
+                x[rows] = y[rows]
+                rcond = np.where(finite, _estimate_rcond(a, lu, blocks), 0.0)
                 # last: reading U makes SuperLU build and keep CSC copies of
                 # L and U (1.9 MB on a 10x10 lattice), which the solve and
                 # the estimate above would otherwise carry at their peak
-                log_abs_det = _log_abs_det(lu)
+                log_abs_det = _log_abs_det(lu, blocks)
 
-    certified = bool(rcond >= RCOND_TOL)
-    if not certified and not allow_flagged:
-        raise NearSingular(rcond, req.lam)
+    certified = rcond >= RCOND_TOL
+    if not allow_flagged and not certified.all():
+        first = int(np.argmin(certified))
+        raise NearSingular(float(rcond[first]), reqs[first].lam)
 
-    plan = system.plan
-    return NetworkScattering(
-        t=x[plan.ordering_alpha, :],
-        d_diag=system.d_diag,
-        ordering=plan.ordering,
-        lam=req.lam,
-        eps=req.eps,
-        rcond=rcond,
-        certified=certified,
-        log_abs_det=log_abs_det,
-        amplitudes=x,
-        channel_slices=plan.channel_slices,
-    )
+    return [
+        NetworkScattering(
+            t=x[i * n : (i + 1) * n][plan.ordering_alpha, :],
+            d_diag=system.d_diag[i],
+            ordering=plan.ordering,
+            lam=req.lam,
+            eps=req.eps,
+            rcond=float(rcond[i]),
+            certified=bool(certified[i]),
+            log_abs_det=float(log_abs_det[i]),
+            amplitudes=x[i * n : (i + 1) * n],
+            channel_slices=plan.channel_slices,
+        )
+        for i, req in enumerate(reqs)
+    ]
+
+
+def solve_scattering(g: MetricGraph, req: SolveRequest, *, allow_flagged: bool = False) -> NetworkScattering:
+    """Solve the graph scattering problem at one lambda for all incident
+    waves from one factorization: solve_batch on a batch of one."""
+    return solve_batch(g, [req], allow_flagged=allow_flagged)[0]
 
 
 def wave_fields(ns: NetworkScattering) -> list[EdgeWaveField]:

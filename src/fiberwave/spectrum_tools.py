@@ -3,6 +3,11 @@
 A sweep solves the scattering problem on a uniform lambda grid, records
 per-column transmission totals, flux-balance residuals and the reciprocal
 condition of the assembled system, and flags resonance intervals.  The
+window holds no threshold, so every grid node has the same unknowns, and
+the grid is solved in block-diagonal batches of consecutive nodes
+(graph_solver.solve_batch) of at most BATCH_UNKNOWNS unknowns each: one
+factorization, one block solve and one conditioning estimate per batch,
+with each node's results equal to its own single solve up to rounding.  The
 resonant set of the network (embedded eigenvalues of decoupled pieces)
 consists of isolated points where the system is exactly singular: simple
 real zeros of the analytic det A(lambda).  Every grid solve records
@@ -44,6 +49,7 @@ from .graph_solver import (
     _log_abs_det,
     assemble_system,
     energy_report,
+    solve_batch,
     solve_scattering,
 )
 
@@ -53,6 +59,12 @@ from .graph_solver import (
 # makes beyond the cell's three grid points
 _FLAT_REL = 1e-8
 _V_STEPS = 20
+
+#: Most unknowns in one block-diagonal batch of grid solves.  Memory, not
+#: time, sets it: a batch's factor, and the CSC copies of L and U that
+#: reading log|det A| off it makes, grow with the batch, while the time per
+#: grid node falls only slowly past about a thousand unknowns.
+BATCH_UNKNOWNS = 1024
 
 
 @dataclass
@@ -74,9 +86,13 @@ class SweepResult:
     dips: list[tuple[float, float]]
 
 
-def _check_interval_clear(g: MetricGraph, lam_lo: float, lam_hi: float) -> None:
-    """A threshold lies inside the interval iff a channel's propagating
-    mode count differs between its ends."""
+def _check_interval_clear(g: MetricGraph, lam_lo: float, lam_hi: float) -> int:
+    """The number of unknowns of the system everywhere on the interval
+    (one alpha amplitude per propagating mode of every channel and one beta
+    per mode of a finite channel), once it is clear that no threshold lies
+    inside: a threshold does iff a channel's propagating mode count differs
+    between its ends."""
+    unknowns = 0
     for chan in g.channels:
         try:
             below_lo = cs.thresholds_below(chan.cross_section, lam_lo)
@@ -88,6 +104,8 @@ def _check_interval_clear(g: MetricGraph, lam_lo: float, lam_hi: float) -> None:
             raise IntervalContainsThreshold(
                 f"threshold {t!r} of channel {chan.id} lies inside [{lam_lo!r}, {lam_hi!r}]"
             )
+        unknowns += len(below_lo) * (1 if chan.is_infinite else 2)
+    return unknowns
 
 
 def _factor(g: MetricGraph, lam: float, eps: float):
@@ -159,7 +177,7 @@ def _refine_dip(g: MetricGraph, eps: float, cell: Sequence[tuple[float, float, f
     node it is the grid's own.
     """
     def log_d(lam: float) -> float:
-        return _log_abs_det(_factor(g, lam, eps))
+        return float(_log_abs_det(_factor(g, lam, eps))[0])
 
     lam_star = _v_bottom(log_d, [(lam, log_det) for lam, log_det, _ in cell])
     node, _, node_rcond = cell[1]
@@ -178,30 +196,33 @@ def sweep(
     """Solve the graph on a uniform lambda grid and flag resonances.
 
     The interval must exclude every cross-section threshold of every
-    channel.  Uncertified grid points are grouped into maximal flagged
-    intervals.  Each strict local minimum of the grid's log|det A| is
-    refined to the bottom of |det A| between its grid neighbours (the node
-    itself when the bottom there is better conditioned than the node), and
-    the grid rows within one step of it are flagged when the reciprocal
-    condition there falls below RCOND_TOL.
+    channel.  The grid is solved in batches of consecutive nodes of at
+    most BATCH_UNKNOWNS unknowns (at least one node each).  Uncertified
+    grid points are grouped into maximal flagged intervals.  Each strict
+    local minimum of the grid's log|det A| is refined to the bottom of
+    |det A| between its grid neighbours (the node itself when the bottom
+    there is better conditioned than the node), and the grid rows within
+    one step of it are flagged when the reciprocal condition there falls
+    below RCOND_TOL.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
     if not lam_lo < lam_hi:
         raise ValueError(f"need lam_lo < lam_hi, got {lam_lo!r} and {lam_hi!r}")
-    _check_interval_clear(g, lam_lo, lam_hi)
+    unknowns = _check_interval_clear(g, lam_lo, lam_hi)
 
-    lams = np.linspace(lam_lo, lam_hi, steps)
+    reqs = [SolveRequest(lam=float(lam), eps=eps) for lam in np.linspace(lam_lo, lam_hi, steps)]
+    batch = max(1, BATCH_UNKNOWNS // max(unknowns, 1))
 
     rows = []
     grid = []  # (lam, log|det A|, rcond) of each node as solved, before any dip lowers a row's rcond
-    for lam in lams:
-        ns = solve_scattering(g, SolveRequest(lam=float(lam), eps=eps), allow_flagged=True)
-        with np.errstate(invalid="ignore"):
-            abs_t_sq = np.sum(np.abs(ns.t) ** 2, axis=0)
-            flux = energy_report(ns).balance
-        rows.append(SweepRow(float(lam), abs_t_sq, flux, ns.rcond, ns.certified))
-        grid.append((float(lam), ns.log_abs_det, ns.rcond))
+    for first in range(0, steps, batch):
+        for ns in solve_batch(g, reqs[first : first + batch], allow_flagged=True):
+            with np.errstate(invalid="ignore"):
+                abs_t_sq = np.sum(np.abs(ns.t) ** 2, axis=0)
+                flux = energy_report(ns).balance
+            rows.append(SweepRow(ns.lam, abs_t_sq, flux, ns.rcond, ns.certified))
+            grid.append((ns.lam, ns.log_abs_det, ns.rcond))
 
     dips: list[tuple[float, float]] = []
     if steps >= 3:

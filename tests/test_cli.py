@@ -435,6 +435,21 @@ def junction_on_cross_with(tmp_path, part, value):
     return ["junction", "--geometry", write_json(tmp_path / "geo.json", geo), "--lambda", "2"]
 
 
+def solve_edge_with_length(tmp_path, length):
+    """solve on edge_graph_json's lead and capped edge, with the edge's
+    length replaced."""
+    graph = json.loads(open(edge_graph_json(tmp_path)).read())
+    graph["channels"][1]["length"] = length
+    return ["solve", "--graph", write_json(tmp_path / "edge.json", graph), "--lambda", "2", "--eps", "0.1"]
+
+
+def junction_on_cross_with_h(tmp_path, h):
+    """junction on the pi/16 cross's geometry file with its grid spacing
+    replaced by `h`."""
+    geo = {**geometry_json(cross_geometry(math.pi, 2 * math.pi, math.pi / 16)), "h": h}
+    return ["junction", "--geometry", write_json(tmp_path / "geo.json", geo), "--lambda", "2"]
+
+
 def not_utf8_graph(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"channels": [], "vertices": [], "note": "\u00e9"}'.encode("latin-1"))
@@ -478,13 +493,31 @@ def not_utf8_graph(tmp_path):
         (lambda p: junction_on_cross_with(p, "rect", "9003"), "got '9003'"),
         (lambda p: junction_on_cross_with(p, "core", "0033"), "got '0033'"),
         (lambda p: junction_on_cross_with(p, "core", [0.0, 0.0, 3.0]), "got [0.0, 0.0, 3.0]"),
+        (lambda p: solve_edge_with_length(p, "1.0"), "got '1.0'"),
+        (lambda p: solve_edge_with_length(p, True), "got True"),
+        (
+            lambda p: ["solve", "--graph", one_vertex_graph_json(p, {"kind": "matrix", "lambda": "2", "matrix": [[[-1, 0]]]}),
+                       "--lambda", "2", "--eps", "0.1"],
+            "got '2'",
+        ),
+        (
+            lambda p: [
+                "solve", "--graph",
+                one_vertex_graph_json(p, {"kind": "tabulated", "table": [{"lambda": "2", "matrix": [[[-1, 0]]]}]}),
+                "--lambda", "2", "--eps", "0.1",
+            ],
+            "got '2'",
+        ),
+        (lambda p: junction_on_cross_with_h(p, repr(math.pi / 16)), f"got '{math.pi / 16!r}'"),
+        (lambda p: solve_lead(p, cross_section={"shape": "interval", "dims": [True]}), "got [True]"),
     ],
     ids=[
         "geometry-array", "grid-spacing-nan", "junction-string", "oracle-geometry-list", "graph-not-utf8",
         "eps-empty-item", "eps-not-number", "eps-repeated", "dims-string", "dims-numeric-string",
         "dims-two-for-interval", "length-minus-infinity", "length-minus-inf-string",
         "ids-truncated", "id-string", "start-bool", "vertex-id-float", "ends-id-float",
-        "rect-string", "core-string", "core-three-numbers",
+        "rect-string", "core-string", "core-three-numbers", "length-numeric-string", "length-bool",
+        "matrix-lambda-string", "table-lambda-string", "h-numeric-string", "dims-bool",
     ],
 )
 def test_malformed_input_exits_invalid(tmp_path, capsys, argv, bad):

@@ -27,6 +27,38 @@ def test_minimal_valid_graph():
     assert validate_graph(dirichlet_lead()) == []
 
 
+def test_each_graph_instance_is_validated_once(tmp_path, monkeypatch):
+    # the command line validates the graph it loads, and the solve's first
+    # assembly validates it again for callers that skip the loader: the
+    # second check reads the first one's findings
+    import json
+
+    import fiberwave.graph_model as gm
+    from fiberwave.cli import main
+
+    checks = []
+    find = gm._find_violations
+    monkeypatch.setattr(gm, "_find_violations", lambda g: checks.append(g) or find(g))
+    edge = {
+        "channels": [
+            {"id": 1, "length": "inf", "cross_section": {"shape": "interval", "dims": [math.pi]}, "start": 1, "end": None},
+            {"id": 2, "length": 1.0, "cross_section": {"shape": "interval", "dims": [math.pi]}, "start": 1, "end": 2},
+        ],
+        "vertices": [
+            {"id": 1, "ends": [[1, "start"], [2, "start"]], "junction": {"kind": "dirichlet"}},
+            {"id": 2, "ends": [[2, "end"]], "junction": {"kind": "dirichlet"}},
+        ],
+    }
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(edge))
+    assert main(["solve", "--graph", str(path), "--lambda", "2", "--eps", "0.1", "--out", str(tmp_path / "t.json")]) == 0
+    assert len(checks) == 1
+    g = dirichlet_lead()
+    solve_scattering(g, SolveRequest(2.0, 0.1))
+    solve_scattering(g, SolveRequest(3.0, 0.1))
+    assert len(checks) == 2 and checks[1] is g
+
+
 def test_dangling_end_violation():
     g = MetricGraph(
         channels=(

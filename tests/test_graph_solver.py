@@ -6,6 +6,7 @@ import cmath
 import dataclasses
 import math
 import warnings
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from fiberwave.graph_solver import (
     gc_residual,
     propagation_phase,
     resolve_vertex,
+    solve_batch,
     solve_scattering,
     wave_fields,
 )
@@ -57,6 +59,7 @@ from conftest import (
     mirror_line,
     mirror_line_reflection,
     mp_phase_factor,
+    load_perfbench,
     random_network,
     symmetric_unitary,
     transparent_pair,
@@ -514,8 +517,8 @@ def test_estimate_rcond_exactly_singular_is_zero(monkeypatch):
     assert not np.any(np.isfinite(ns.amplitudes))
 
 
-def _complex_gaussian(n: int) -> np.ndarray:
-    rng = np.random.default_rng(n)
+def _complex_gaussian(n: int, seed: Optional[int] = None) -> np.ndarray:
+    rng = np.random.default_rng(n if seed is None else seed)
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
 
 
@@ -525,18 +528,123 @@ def _complex_gaussian(n: int) -> np.ndarray:
         pytest.param(_complex_gaussian(20), 0.00914541191408832, id="20"),
         pytest.param(_complex_gaussian(100), 0.0024834319546634476, id="100"),
         pytest.param(np.random.default_rng(5).normal(size=(30, 30)), 0.00593450224166048, id="real30"),
+        # block diagonal: the first block again, 4 times it (every iterate
+        # scales exactly, so the same estimate) and another draw, recorded
+        # from the single-matrix estimate
+        pytest.param(
+            [_complex_gaussian(20), 4.0 * _complex_gaussian(20), _complex_gaussian(20, seed=21)],
+            [0.00914541191408832, 0.00914541191408832, 0.044979117946532476],
+            id="three-blocks-of-20",
+        ),
     ],
 )
 def test_estimate_rcond_is_two_norm_reciprocal_condition(a, recorded):
     # RCOND_TOL bounds sigma_min / sigma_max; pin the estimate to it, and to
     # the values recorded from the dense-LU implementation of the same
     # iteration.  The factor is built as the solver builds it, complex CSC
-    # through splu (a real factor rejects the complex iterate).  Any warning
-    # fails.
-    m = sp.csc_matrix(a.astype(complex))
+    # through splu (a real factor rejects the complex iterate).  A list is
+    # the blocks of a block-diagonal matrix, each estimated on its own and
+    # equal to its estimate as a single matrix.  Any warning fails.
+    blocks = a if isinstance(a, list) else [a]
+    singles = [sp.csc_matrix(b.astype(complex)) for b in blocks]
+    m = sp.block_diag(singles, format="csc")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        est = _estimate_rcond(m, splu(m))
-    exact = 1.0 / np.linalg.cond(a, 2)
-    assert abs(est - exact) <= 0.05 * exact
-    assert abs(est - recorded) <= 1e-12 * recorded
+        est = _estimate_rcond(m, splu(m), len(blocks))
+        alone = [_estimate_rcond(b, splu(b))[0] for b in singles]
+    assert est.shape == (len(blocks),)
+    for e, b, rec, single in zip(est, blocks, np.atleast_1d(recorded), alone):
+        exact = 1.0 / np.linalg.cond(b, 2)
+        assert abs(e - exact) <= 0.05 * exact
+        assert abs(e - rec) <= 1e-12 * rec
+        assert abs(e - single) <= 1e-12 * single
+
+
+# ---------------------------------------------------------------------------
+# batches
+
+
+def seed7_sweep_batch() -> tuple[MetricGraph, list[SolveRequest]]:
+    """The first network of the benchmark's sweep stream for seed 7, as
+    perfbench/run.build_spec draws it, and 15 requests spread over its
+    window."""
+    from fiberwave.cli import graph_from_json
+
+    gen = load_perfbench("gen")
+    rng = np.random.default_rng([7, 0])
+    modes = int(rng.permutation((2, 3, 3))[0])
+    graph, lo, hi, _eigs = gen.sweep_network(rng, modes, 0.1, 60, 2)
+    return graph_from_json(graph), [SolveRequest(float(lam), 0.1) for lam in np.linspace(lo, hi, 60)[::4]]
+
+
+def assert_same_solve(got, want):
+    assert got.lam == want.lam and got.certified == want.certified
+    assert np.max(np.abs(got.t - want.t)) <= 1e-13 * np.max(np.abs(want.t))
+    assert abs(got.rcond - want.rcond) <= 1e-13 * want.rcond
+    assert abs(got.log_abs_det - want.log_abs_det) <= 1e-12
+
+
+def test_batch_equals_single_solves():
+    g, reqs = seed7_sweep_batch()
+    batch = solve_batch(g, reqs, allow_flagged=True)
+    assert len(batch) == len(reqs) == 15
+    for got, req in zip(batch, reqs):
+        assert_same_solve(got, solve_scattering(g, req, allow_flagged=True))
+
+
+def _patch_block(monkeypatch, lam_bad: float, a_scale: float, rhs_scale: float) -> list[int]:
+    """Make assemble_system hand out the block of `lam_bad`, in any batch,
+    with its matrix and right-hand side scaled; returns the batch size of
+    every solve_batch call from then on."""
+    import fiberwave.graph_solver as gs
+
+    assemble, solve = gs.assemble_system, gs.solve_batch
+    sizes: list[int] = []
+
+    def spoiled(g, reqs):
+        system = assemble(g, reqs)
+        a, rhs, n = system.matrix.copy(), system.rhs.copy(), len(system.plan.unknowns)
+        for i, req in enumerate(reqs):
+            if req.lam == lam_bad:
+                a.data[a.indptr[i * n] : a.indptr[(i + 1) * n]] *= a_scale
+                rhs[i * n : (i + 1) * n] *= rhs_scale
+        return dataclasses.replace(system, matrix=a, rhs=rhs)
+
+    def counting(g, reqs, **kw):
+        sizes.append(len(reqs))
+        return solve(g, reqs, **kw)
+
+    monkeypatch.setattr(gs, "assemble_system", spoiled)
+    monkeypatch.setattr(gs, "solve_batch", counting)
+    return sizes
+
+
+def test_batch_non_finite_block_is_nan_and_others_unchanged(monkeypatch):
+    # pivots near 1e-200 against a right-hand side near 1e200 overflow the
+    # block's solve to infinity
+    g, reqs = seed7_sweep_batch()
+    want = [solve_scattering(g, req, allow_flagged=True) for req in reqs]
+    sizes = _patch_block(monkeypatch, reqs[6].lam, 1e-200, 1e200)
+    batch = solve_batch(g, reqs, allow_flagged=True)
+    assert sizes == []  # no retry: the factorization went through
+    for i, (got, single) in enumerate(zip(batch, want)):
+        if i == 6:
+            assert np.all(np.isnan(got.amplitudes)) and got.rcond == 0.0 and not got.certified
+        else:
+            assert_same_solve(got, single)
+
+
+def test_batch_exactly_singular_block_retries_one_lambda_at_a_time(monkeypatch):
+    # a zero column makes SuperLU refuse the whole matrix; each lambda is
+    # then solved alone, and only its own block comes out singular
+    g, reqs = seed7_sweep_batch()
+    want = [solve_scattering(g, req, allow_flagged=True) for req in reqs]
+    sizes = _patch_block(monkeypatch, reqs[6].lam, 0.0, 1.0)
+    batch = solve_batch(g, reqs, allow_flagged=True)
+    assert sizes == [1] * len(reqs)
+    for i, (got, single) in enumerate(zip(batch, want)):
+        if i == 6:
+            assert np.all(np.isnan(got.amplitudes)) and got.rcond == 0.0
+            assert got.log_abs_det == -math.inf and not got.certified
+        else:
+            assert_same_solve(got, single)
