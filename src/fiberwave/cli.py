@@ -200,9 +200,7 @@ def graph_from_json(d: dict) -> MetricGraph:
             vertices.append(
                 Vertex(id=_id(v["id"]), ends=ends, junction=junction_from_json(v["junction"]))
             )
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # a ParseError passes through
         raise ParseError(f"bad graph file: {exc}") from exc
     return MetricGraph(channels=tuple(channels), vertices=tuple(vertices))
 
@@ -228,7 +226,10 @@ def load_graph(path: str) -> MetricGraph:
 
 
 def _dump_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True) + "\n"
+    _write(json.dumps(payload, sort_keys=True) + "\n", path)
+
+
+def _write(text: str, path: str | None) -> None:
     if path:
         with open(path, "w", newline="\n") as f:
             f.write(text)
@@ -324,12 +325,7 @@ def _cmd_network_validate(args) -> int:
                     f"{float(t_o.real)!r},{float(t_o.imag)!r},{diff!r}"
                 )
         worst_by_eps[eps] = worst
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="\n") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     for eps, worst in worst_by_eps.items():
         sys.stderr.write(f"eps={eps}: max |t_graph - t_oracle| = {worst:.6e}\n")
     return EXIT_OK if not skipped or args.allow_flagged else EXIT_NUMERIC
@@ -338,32 +334,20 @@ def _cmd_network_validate(args) -> int:
 def _spider_errors(g: MetricGraph, v, lam: float, eps: float) -> tuple[float, float]:
     """Solve the single-vertex problem with this vertex's resolved matrix and
     compare the boundary-value matrices with I + T and (i/eps) D (T - I)."""
-    res = resolve_vertex(g, v, lam)
-    channels = []
-    ends = []
-    for i, (cid, _which) in enumerate(v.ends):
-        shape = g.channel(cid).cross_section
-        channels.append(Channel(id=i + 1, length=math.inf, cross_section=shape, start=1, end=None))
-        ends.append((i + 1, "start"))
+    t_v = resolve_vertex(g, v, lam).t_matrix
+    ids = range(1, len(v.ends) + 1)
     spider = MetricGraph(
-        channels=tuple(channels),
-        vertices=(
-            Vertex(
-                id=1,
-                ends=tuple(ends),
-                junction=MatrixJunction(lam=lam, matrix=res.t_matrix),
-            ),
-        ),
+        channels=tuple(Channel(i, math.inf, g.channel(cid).cross_section, 1, None) for i, (cid, _) in zip(ids, v.ends)),
+        vertices=(Vertex(1, tuple((i, "start") for i in ids), MatrixJunction(lam, t_v)),),
     )
     ns = solve_scattering(spider, SolveRequest(lam=lam, eps=eps), allow_flagged=True)
-    res_spider = resolve_vertex(spider, spider.vertices[0], lam)
-    s0, s1 = boundary_value_matrices(wave_fields(ns), res_spider, spider)
-    dim = res_spider.dim
-    i_v = np.eye(dim)
-    t_v = res_spider.t_matrix
-    d_v = res_spider.d_diag
-    e0 = float(np.max(np.abs(s0 - (i_v + t_v)))) if dim else 0.0
-    e1 = float(np.max(np.abs(s1 - (1j / eps) * d_v[:, None] * (t_v - i_v)))) if dim else 0.0
+    res = resolve_vertex(spider, spider.vertices[0], lam)
+    if not res.dim:
+        return 0.0, 0.0
+    s0, s1 = boundary_value_matrices(wave_fields(ns), res, spider)
+    i_v, t_v = np.eye(res.dim), res.t_matrix
+    e0 = float(np.max(np.abs(s0 - (i_v + t_v))))
+    e1 = float(np.max(np.abs(s1 - (1j / eps) * res.d_diag[:, None] * (t_v - i_v))))
     return e0, e1
 
 

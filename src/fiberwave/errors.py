@@ -11,6 +11,10 @@ class ThresholdCollision(FiberwaveError):
     """The spectral parameter coincides with a cross-section eigenvalue."""
 
 
+class TooManyModes(FiberwaveError):
+    """A cross-section has more than cross_section.MAX_MODES thresholds."""
+
+
 class NoInfiniteChannels(FiberwaveError):
     """The graph has no infinite channel, so no scattering problem exists."""
 

@@ -145,6 +145,13 @@ class MetricGraph:
     def _violations(self) -> tuple[Violation, ...]:
         return tuple(_find_violations(self))
 
+    @cached_property
+    def threshold_tables(self) -> dict[int, cs.ThresholdTable]:
+        """The threshold table of each channel id: one per distinct
+        cross-section, kept as long as the graph lives."""
+        by_shape = {shape: cs.ThresholdTable(shape) for shape in {c.cross_section for c in self.channels}}
+        return {c.id: by_shape[c.cross_section] for c in self.channels}
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -229,10 +236,8 @@ def _find_violations(g: MetricGraph) -> list[Violation]:
             out.append(Violation("duplicate_id", subject, "duplicate channel id"))
         seen_cids.add(c.id)
         try:
-            dims_ok = all(math.isfinite(d) and d > 0 for d in cs.shape_dims(c.cross_section))
-        except TypeError:
-            dims_ok = False
-        if not dims_ok:
+            cs.shape_dims(c.cross_section)
+        except (TypeError, ValueError):
             out.append(Violation("bad_cross_section", subject, "cross-section dimensions must be positive and finite"))
         if c.is_infinite:
             if c.end is not None:
@@ -272,22 +277,14 @@ def _find_violations(g: MetricGraph) -> list[Violation]:
         out.extend(_junction_violations(v, g))
 
     for c in g.channels:
-        subject = f"channel {c.id}"
-        owner = end_owner.get((c.id, START))
-        if owner is None:
-            out.append(Violation("dangling_end", subject, "start end is not referenced by any vertex"))
-        elif owner != c.start:
-            out.append(
-                Violation("end_owner_mismatch", subject, f"start names vertex {c.start} but end is owned by vertex {owner}")
-            )
-        if not c.is_infinite:
-            owner = end_owner.get((c.id, END))
+        ends = [(START, c.start, "start end"), (END, c.end, "end")][: 1 if c.is_infinite else 2]
+        for which, named, what in ends:
+            owner = end_owner.get((c.id, which))
             if owner is None:
-                out.append(Violation("dangling_end", subject, "end is not referenced by any vertex"))
-            elif owner != c.end:
-                out.append(
-                    Violation("end_owner_mismatch", subject, f"end names vertex {c.end} but end is owned by vertex {owner}")
-                )
+                out.append(Violation("dangling_end", f"channel {c.id}", f"{what} is not referenced by any vertex"))
+            elif owner != named:
+                msg = f"{which} names vertex {named} but end is owned by vertex {owner}"
+                out.append(Violation("end_owner_mismatch", f"channel {c.id}", msg))
 
     if not any(c.is_infinite for c in g.channels):
         out.append(Violation("no_infinite_channels", "graph", "scattering needs at least one infinite channel"))

@@ -55,9 +55,9 @@ from . import cross_section as cs
 from .errors import (
     DimensionMismatch,
     GraphInvalid,
-    IntervalContainsThreshold,
     NearSingular,
     SingularAtThreshold,
+    ThresholdCollision,
     UnresolvableJunction,
 )
 from .graph_model import (
@@ -180,31 +180,25 @@ def resolve_vertex(g: MetricGraph, v: Vertex, lam) -> VertexScatteringResolved:
     `lam` is a float, or a 1-D array of lambdas at which every incident
     channel propagates the same modes; an array gives d_diag a leading
     batch axis, and t_matrix one too unless the junction is constant in
-    lambda.  The thresholds are read at the batch's two ends only: a
-    threshold at or between them changes a count or collides at an end,
-    which raises IntervalContainsThreshold or SingularAtThreshold.
+    lambda.  The thresholds are read off the graph's threshold tables at
+    the batch's two ends only (ThresholdTable.span): a threshold between
+    them raises IntervalContainsThreshold, one that collides with an end
+    SingularAtThreshold.
     """
     batch = isinstance(lam, np.ndarray)
     lams = lam.astype(float, copy=False) if batch else np.array([lam], dtype=float)
-    lo, hi = float(lams.min()), float(lams.max())  # NaN if any is: thresholds_below rejects it
+    lo, hi = float(lams.min()), float(lams.max())  # NaN if any is: the table rejects it
     entries: list[tuple[int, str, int]] = []
     per_end_ks: list[np.ndarray] = []
     floor = math.inf  # lowest threshold of the ends, if any end propagates
     for cid, which in v.ends:
-        shape = g.channel(cid).cross_section
         try:
-            ths = cs.thresholds_below(shape, lo)
-            straddles = hi != lo and cs.thresholds_below(shape, hi) != ths
-        except cs.ThresholdCollision as exc:
+            ths = g.threshold_tables[cid].span(lo, hi)
+        except ThresholdCollision as exc:
             raise SingularAtThreshold(f"channel {cid}: {exc}") from exc
-        if straddles:
-            raise IntervalContainsThreshold(
-                f"vertex {v.id}: a threshold of channel {cid} lies between lambda={lo!r} and {hi!r}"
-            )
         if ths:
             floor = min(floor, ths[0])
-        ks = np.sqrt(lams[:, None] - np.asarray(ths, dtype=float))
-        per_end_ks.append(ks)
+        per_end_ks.append(np.sqrt(lams[:, None] - np.asarray(ths, dtype=float)))
         entries.extend((cid, which, n) for n in range(len(ths)))
     dim = len(entries)
     d_arr = np.concatenate(per_end_ks, axis=1) if per_end_ks else np.zeros((len(lams), 0))
@@ -223,7 +217,7 @@ def resolve_vertex(g: MetricGraph, v: Vertex, lam) -> VertexScatteringResolved:
         t[p0:, :p0] = np.eye(p0)
     elif isinstance(j, MatrixJunction):
         for x in lams.tolist():
-            if abs(j.lam - x) > cs.threshold_window(x):
+            if abs(j.lam - x) > cs._window(x):
                 raise UnresolvableJunction(
                     f"vertex {v.id}: matrix junction declared at lambda={j.lam!r}, requested {x!r}"
                 )
@@ -239,9 +233,9 @@ def resolve_vertex(g: MetricGraph, v: Vertex, lam) -> VertexScatteringResolved:
         raise DimensionMismatch(
             f"vertex {v.id}: junction matrix is {t.shape[-2:]}, expected {(dim, dim)} at lambda={float(lams[0])!r}"
         )
-    if batch:
-        return VertexScatteringResolved(entries=tuple(entries), t_matrix=t, d_diag=d_arr)
-    return VertexScatteringResolved(entries=tuple(entries), t_matrix=t.reshape(dim, dim), d_diag=d_arr[0])
+    if not batch:
+        t, d_arr = t.reshape(dim, dim), d_arr[0]
+    return VertexScatteringResolved(entries=tuple(entries), t_matrix=t, d_diag=d_arr)
 
 
 def _interpolate_table(v, j: TabulatedJunction, lams: np.ndarray, floor: float) -> np.ndarray:

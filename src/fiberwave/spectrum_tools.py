@@ -16,10 +16,12 @@ each strict local minimum of that curve is refined to the bottom of
 |det A| between the node's grid neighbours.  Every further sample is one
 sparse LU factor at an off-grid lambda; at an embedded eigenvalue the
 bottom is a V-shaped zero, found by secant steps along the V's branches.
-RCOND_TOL is applied to the reciprocal condition at the bottom, read from
-a solve there.  A grid row is certified when the reciprocal condition over
-its grid cell - not just at its node - stays above RCOND_TOL and lambda is
-clear of thresholds.
+RCOND_TOL is applied to the reciprocal condition at the bottom: the grid's
+own at a node, else one solve per off-grid bottom, all in one batch.  A
+grid row is certified when the reciprocal condition over its grid cell -
+not just at its node - stays above RCOND_TOL and lambda is clear of
+thresholds, which ThresholdTable.span checks at the window's ends as the
+assembly does at each batch's.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import groupby
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,7 +38,6 @@ import numpy as np
 # perfbench/tracing.py times the dip-refinement factorizations through it
 from scipy.sparse.linalg import splu as lu_factor
 
-from . import cross_section as cs
 from .errors import (
     DimensionMismatch,
     InsufficientSamples,
@@ -45,12 +47,12 @@ from .errors import (
 from .graph_model import MetricGraph
 from .graph_solver import (
     RCOND_TOL,
+    NetworkScattering,
     SolveRequest,
     _log_abs_det,
     assemble_system,
     energy_report,
     solve_batch,
-    solve_scattering,
 )
 
 
@@ -84,28 +86,6 @@ class SweepResult:
     rows: list[SweepRow]
     flagged_intervals: list[tuple[float, float]]
     dips: list[tuple[float, float]]
-
-
-def _check_interval_clear(g: MetricGraph, lam_lo: float, lam_hi: float) -> int:
-    """The number of unknowns of the system everywhere on the interval
-    (one alpha amplitude per propagating mode of every channel and one beta
-    per mode of a finite channel), once it is clear that no threshold lies
-    inside: a threshold does iff a channel's propagating mode count differs
-    between its ends."""
-    unknowns = 0
-    for chan in g.channels:
-        try:
-            below_lo = cs.thresholds_below(chan.cross_section, lam_lo)
-            below_hi = cs.thresholds_below(chan.cross_section, lam_hi)
-        except ThresholdCollision as exc:
-            raise IntervalContainsThreshold(str(exc)) from exc
-        if len(below_hi) != len(below_lo):
-            t = below_hi[len(below_lo)]
-            raise IntervalContainsThreshold(
-                f"threshold {t!r} of channel {chan.id} lies inside [{lam_lo!r}, {lam_hi!r}]"
-            )
-        unknowns += len(below_lo) * (1 if chan.is_infinite else 2)
-    return unknowns
 
 
 def _factor(g: MetricGraph, lam: float, eps: float):
@@ -161,29 +141,21 @@ def _v_bottom(log_d, cell: Sequence[tuple[float, float]]) -> float:
     return min(pts, key=lambda pt: pt[1])[0]
 
 
-def _refine_dip(g: MetricGraph, eps: float, cell: Sequence[tuple[float, float, float]]) -> tuple[float, float]:
+def _refine_dip(g: MetricGraph, eps: float, cell: Sequence[tuple[float, float]]) -> float:
     """The bottom lam* of |det A| in the grid cell [a, b] around the dip
-    node m, and the 2-norm reciprocal condition there, from the grid's
-    (lam, log|det A|, rcond) at a, m and b, where log|det A| is a strict
-    local minimum at m.
+    node m, from the grid's (lam, log|det A|) at a, m and b, where
+    log|det A| is a strict local minimum at m.
 
     |det A| carries no phase, so the search does not depend on how fast
     the phase of det A turns across the cell: it turns with every broad
     resonance of the open network, not only at the zero.  At an embedded
     eigenvalue the bottom is an exact zero, which _v_bottom finds down to
-    float spacing; in a cell with no real zero it is a smooth minimum, and
-    the caller compares its depth with the grid node's.  The reciprocal
-    condition at an off-grid lam* comes from solve_scattering there; at the
-    node it is the grid's own.
+    float spacing; in a cell with no real zero it is a smooth minimum.
     """
     def log_d(lam: float) -> float:
         return float(_log_abs_det(_factor(g, lam, eps))[0])
 
-    lam_star = _v_bottom(log_d, [(lam, log_det) for lam, log_det, _ in cell])
-    node, _, node_rcond = cell[1]
-    if lam_star == node:
-        return lam_star, node_rcond
-    return lam_star, solve_scattering(g, SolveRequest(lam=lam_star, eps=eps), allow_flagged=True).rcond
+    return _v_bottom(log_d, cell)
 
 
 def sweep(
@@ -209,53 +181,60 @@ def sweep(
         raise ValueError("steps must be >= 2")
     if not lam_lo < lam_hi:
         raise ValueError(f"need lam_lo < lam_hi, got {lam_lo!r} and {lam_hi!r}")
-    unknowns = _check_interval_clear(g, lam_lo, lam_hi)
+    # one alpha amplitude per propagating mode of every channel and one beta
+    # per mode of a finite channel, the same everywhere on the interval
+    unknowns = 0
+    for chan in g.channels:
+        try:
+            modes = len(g.threshold_tables[chan.id].span(lam_lo, lam_hi))
+        except (ThresholdCollision, IntervalContainsThreshold) as exc:
+            raise IntervalContainsThreshold(f"channel {chan.id}: {exc}") from exc
+        unknowns += modes * (1 if chan.is_infinite else 2)
 
     reqs = [SolveRequest(lam=float(lam), eps=eps) for lam in np.linspace(lam_lo, lam_hi, steps)]
     batch = max(1, BATCH_UNKNOWNS // max(unknowns, 1))
 
+    def solved(todo: Sequence[SolveRequest]) -> Iterator[NetworkScattering]:
+        # a batch's solutions are freed before the next batch is solved
+        for first in range(0, len(todo), batch):
+            yield from solve_batch(g, todo[first : first + batch], allow_flagged=True)
+
     rows = []
     grid = []  # (lam, log|det A|, rcond) of each node as solved, before any dip lowers a row's rcond
-    for first in range(0, steps, batch):
-        for ns in solve_batch(g, reqs[first : first + batch], allow_flagged=True):
-            with np.errstate(invalid="ignore"):
-                abs_t_sq = np.sum(np.abs(ns.t) ** 2, axis=0)
-                flux = energy_report(ns).balance
-            rows.append(SweepRow(ns.lam, abs_t_sq, flux, ns.rcond, ns.certified))
-            grid.append((ns.lam, ns.log_abs_det, ns.rcond))
+    for ns in solved(reqs):
+        with np.errstate(invalid="ignore"):
+            abs_t_sq = np.sum(np.abs(ns.t) ** 2, axis=0)
+            flux = energy_report(ns).balance
+        rows.append(SweepRow(ns.lam, abs_t_sq, flux, ns.rcond, ns.certified))
+        grid.append((ns.lam, ns.log_abs_det, ns.rcond))
+
+    # every strict local minimum of log|det A|: its grid node and the bottom
+    # lam* in its cell; the depth at every off-grid lam* comes from one
+    # batch of solves, and a lam* at its node keeps the grid's rcond
+    dip_nodes = [i for i in range(1, steps - 1) if grid[i][1] < grid[i - 1][1] and grid[i][1] < grid[i + 1][1]]
+    stars = [_refine_dip(g, eps, [(lam, log_det) for lam, log_det, _ in grid[i - 1 : i + 2]]) for i in dip_nodes]
+    off_grid = [SolveRequest(lam=s, eps=eps) for s, i in zip(stars, dip_nodes) if s != grid[i][0]]
+    depths = iter([ns.rcond for ns in solved(off_grid)])
 
     dips: list[tuple[float, float]] = []
-    if steps >= 3:
-        step = (lam_hi - lam_lo) / (steps - 1)
-        for i in range(1, steps - 1):
-            cell = grid[i - 1 : i + 2]
-            (_, log_lo, _), (lam, log_det, rcond), (_, log_hi, _) = cell
-            if not (log_det < log_lo and log_det < log_hi):
-                continue
-            lam_star, dip = _refine_dip(g, eps, cell)
-            if dip > rcond:  # no real zero of det A in the cell: the node is the bottom
-                lam_star, dip = lam, rcond
-            dips.append((lam_star, dip))
-            if dip < RCOND_TOL:
-                for j, row in enumerate(rows):
-                    if abs(row.lam - lam_star) <= step:
-                        rows[j].certified = False
-                        rows[j].rcond = min(rows[j].rcond, dip)
+    step = (lam_hi - lam_lo) / (steps - 1)
+    for lam_star, i in zip(stars, dip_nodes):
+        lam, _, rcond = grid[i]
+        dip = rcond if lam_star == lam else next(depths)
+        if dip > rcond:  # no real zero of det A in the cell: the node is the bottom
+            lam_star, dip = lam, rcond
+        dips.append((lam_star, dip))
+        if dip < RCOND_TOL:
+            for row in rows:
+                if abs(row.lam - lam_star) <= step:
+                    row.certified = False
+                    row.rcond = min(row.rcond, dip)
 
-    flagged: list[tuple[float, float]] = []
-    run_start: Optional[float] = None
-    prev_lam = None
-    for row in rows:
-        if not row.certified:
-            if run_start is None:
-                run_start = row.lam
-            prev_lam = row.lam
-        else:
-            if run_start is not None:
-                flagged.append((run_start, prev_lam))
-                run_start = None
-    if run_start is not None:
-        flagged.append((run_start, prev_lam))
+    flagged = []
+    for certified, run in groupby(rows, key=lambda row: row.certified):
+        if not certified:
+            run = list(run)
+            flagged.append((run[0].lam, run[-1].lam))
 
     return SweepResult(rows=rows, flagged_intervals=flagged, dips=dips)
 

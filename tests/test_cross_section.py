@@ -9,14 +9,16 @@ from scipy.special import jn_zeros
 
 from fiberwave import cross_section
 from fiberwave.cross_section import (
+    MAX_MODES,
     Disk,
     Interval,
     Rectangle,
+    ThresholdTable,
     lambda0,
     thresholds,
     thresholds_below,
 )
-from fiberwave.errors import NoInfiniteChannels, ThresholdCollision
+from fiberwave.errors import NoInfiniteChannels, ThresholdCollision, TooManyModes
 from fiberwave.graph_model import Channel, MetricGraph, Vertex, Dirichlet
 
 from conftest import dirichlet_lead
@@ -114,6 +116,42 @@ def test_thresholds_below_raises_inside_window(shape):
         for lam in (t, t * (1 + 1e-10), t * (1 - 1e-10)):
             with pytest.raises(ThresholdCollision):
                 thresholds_below(shape, lam)
+
+
+def test_table_enumerates_only_past_its_level(monkeypatch):
+    levels = []
+    enumerate_thresholds = cross_section.enumerate_thresholds
+
+    def recording(shape, level):
+        levels.append(level)
+        return enumerate_thresholds(shape, level)
+
+    monkeypatch.setattr(cross_section, "enumerate_thresholds", recording)
+
+    def top(lam):  # the top of lam's exclusion window
+        return lam + cross_section.THRESHOLD_RTOL * lam
+
+    table = ThresholdTable(Interval(math.pi))
+    assert table.below(10.0) == [1.0, 4.0, 9.0]  # sized from the first lambda
+    assert table.below(2.0) == [1.0]
+    assert table.first(3) == [1.0, 4.0, 9.0]
+    assert levels == [top(10.0)]
+    assert table.below(20.0) == [1.0, 4.0, 9.0, 16.0]
+    assert levels == [top(10.0), top(20.0)]
+    assert table.first(5) == [1.0, 4.0, 9.0, 16.0, 25.0]  # doubles past its level
+    assert levels[2:] == [2.0 * top(20.0)]
+
+
+@pytest.mark.parametrize("shape", [Interval(math.pi), Rectangle(1.0, 1.0), Disk(1.0)])
+def test_mode_count_is_bounded(shape):
+    with pytest.raises(TooManyModes, match="MAX_MODES"):
+        thresholds_below(shape, 1e30)
+    with pytest.raises(TooManyModes):
+        thresholds(shape, MAX_MODES + 1)
+    # the bound itself is allowed: on the interval the n-th threshold is n^2
+    assert len(thresholds_below(Interval(math.pi), MAX_MODES**2 + 0.5)) == MAX_MODES
+    with pytest.raises(TooManyModes):
+        thresholds_below(Interval(math.pi), (MAX_MODES + 1) ** 2 + 0.5)
 
 
 def test_lambda0():

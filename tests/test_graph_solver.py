@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from fiberwave.cross_section import Interval
+from fiberwave.cross_section import Disk, Interval, Rectangle
 from fiberwave.errors import (
     DimensionMismatch,
     GraphInvalid,
@@ -300,6 +300,38 @@ def test_solve_raises_on_invalid_graph():
     )
     with pytest.raises(GraphInvalid):
         solve_scattering(g, SolveRequest(2.0, 0.1))
+
+
+def _lead_and_edge(shape) -> MetricGraph:
+    return MetricGraph(
+        channels=(Channel(1, math.inf, shape, 1, None), Channel(2, 1.0, shape, 1, 2)),
+        vertices=(Vertex(1, ((1, "start"), (2, "start")), Dirichlet()), Vertex(2, ((2, "end"),), Dirichlet())),
+    )
+
+
+# the square of side 2 has the double threshold 5 pi^2 / 4 below 40
+@pytest.mark.parametrize("shape", [Interval(math.pi), Rectangle(2.0, 2.0), Disk(1.5)])
+def test_grown_threshold_table_resolves_like_a_fresh_one(shape):
+    g = _lead_and_edge(shape)
+    counts = []
+    for lam in (2.0, 40.0, 5.0):
+        got = resolve_vertex(g, g.vertices[0], lam)
+        fresh = _lead_and_edge(shape)
+        want = resolve_vertex(fresh, fresh.vertices[0], lam)
+        assert got.entries == want.entries
+        assert got.d_diag.tobytes() == want.d_diag.tobytes()
+        assert got.t_matrix.tobytes() == want.t_matrix.tobytes()
+        counts.append(got.dim // 2)
+    assert g.threshold_tables[1].level > 40.0
+    assert counts[1] > max(counts[0], counts[2])
+
+
+def test_collision_past_the_tables_level_raises():
+    g = mirror_line(1.0)
+    resolve_vertex(g, g.vertices[0], 2.0)
+    assert g.threshold_tables[1].level < 36.0
+    with pytest.raises(SingularAtThreshold):
+        resolve_vertex(g, g.vertices[0], 36.0)
 
 
 def test_solve_raises_near_threshold():

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from fiberwave.cli import EXIT_OK, build_parser, main
+import fiberwave
+from fiberwave.cli import EXIT_NUMERIC, EXIT_OK, build_parser, main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -41,6 +45,21 @@ def test_graph_example_solves_and_checks(tmp_path, capsys, command):
     graph = tmp_path / "g.json"
     graph.write_text(json_block("channels"))
     assert main([command, "--graph", str(graph), "--lambda", "2", "--eps", "0.1"]) == EXIT_OK, capsys.readouterr()
+
+
+def test_graph_example_refuses_a_lambda_with_too_many_modes(tmp_path):
+    # at lambda = 1e30 the width-pi channels would carry 1e15 modes; the
+    # mode bound refuses them before enumerating more than MAX_MODES
+    graph = tmp_path / "g.json"
+    graph.write_text(json_block("channels"))
+    src = str(Path(fiberwave.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fiberwave.cli", "solve", "--graph", str(graph), "--lambda", "1e30", "--eps", "0.1"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_NUMERIC, proc.stderr
+    assert "MAX_MODES" in proc.stderr
 
 
 def test_geometry_example_is_a_junction(tmp_path, capsys):

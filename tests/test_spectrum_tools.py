@@ -136,6 +136,44 @@ def test_sweep_refinement_assembles_no_grid_lambda(monkeypatch):
     assert not {r.lam for r in sr.rows}.intersection(lams)
 
 
+def test_sweep_solves_every_dip_depth_in_one_batch(monkeypatch):
+    import fiberwave.spectrum_tools as st
+
+    batches = []
+    solve_batch = st.solve_batch
+
+    def recording(g, reqs, **kw):
+        batches.append([req.lam for req in reqs])
+        return solve_batch(g, reqs, **kw)
+
+    monkeypatch.setattr(st, "solve_batch", recording)
+    sr = sweep(dirichlet_edge_graph(1.0), 0.1, 1.05, 2.0, 100)
+    grid = {r.lam for r in sr.rows}
+    off_grid = [batch for batch in batches if not grid.issuperset(batch)]
+    assert off_grid == [[lam_star for lam_star, _ in sr.dips]]  # three eigenvalues, one batch
+
+
+def test_sweep_enumerates_each_shape_once(monkeypatch):
+    # a benchmark sweep network: 20 channels of one width
+    import fiberwave.cross_section as cs
+
+    gen = load_perfbench("gen")
+    doc, lo, hi, _eigs = gen.sweep_network(np.random.default_rng([7, 0]), 3, 0.1, 60, 2)
+    g = graph_from_json(doc)
+    assert len(g.channels) == 20 and len({c.cross_section for c in g.channels}) == 1
+    levels = []
+    enumerate_thresholds = cs.enumerate_thresholds
+
+    def recording(shape, level):
+        levels.append(level)
+        return enumerate_thresholds(shape, level)
+
+    monkeypatch.setattr(cs, "enumerate_thresholds", recording)
+    sr = sweep(g, 0.1, lo, hi, 60)
+    assert sr.dips  # the refinement resolved off-grid lambdas too
+    assert len(levels) == 1 and levels[0] >= hi
+
+
 def test_sweep_fabry_perot_dips_cost_few_assemblies(monkeypatch):
     # |det A| is constant on the Fabry-Perot line and only its phase turns:
     # the grid's log|det A| has no strict local minimum, so nothing is
