@@ -19,6 +19,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import Iterator, Union
 
+import numpy as np
 from scipy.special import jn_zeros
 
 from .errors import IntervalContainsThreshold, NoInfiniteChannels, ThresholdCollision, TooManyModes
@@ -69,7 +70,7 @@ def shape_dims(shape: CrossSectionShape) -> tuple[float, ...]:
     return dims
 
 
-#: Entries kept by the Bessel-zero cache.  Its keys are (order, index)
+#: Entries kept by the Bessel-zero cache.  Its keys are (order, size)
 #: pairs, which do not depend on the radius, so one request touches a few
 #: dozen of them however many distinct disks its channels carry, and a
 #: long-lived process keeps a fixed amount of memory.
@@ -77,8 +78,17 @@ SPECTRUM_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
+def _bessel_zeros(m: int, size: int) -> np.ndarray:
+    zeros = jn_zeros(m, size)
+    zeros.flags.writeable = False  # every cache hit hands out this same array
+    return zeros
+
+
 def _bessel_zero(m: int, k: int) -> float:
-    return float(jn_zeros(m, k)[-1])
+    """j_{m,k}, read from the order's first 2^i >= k zeros: computing the
+    first k zeros costs O(k), so an enumeration that walks k = 1, 2, ...
+    computes each order's zeros O(1) times over, not O(k)."""
+    return float(_bessel_zeros(m, 1 << (k - 1).bit_length())[k - 1])
 
 
 def _window(lam: float) -> float:
@@ -169,13 +179,25 @@ class ThresholdTable:
 
     def first(self, count: int) -> list[float]:
         """The `count` lowest thresholds: the level doubles from
-        (pi / smallest dimension)^2 until the table holds them.  A doubled
-        level can pass MAX_MODES first, so a 2-D shape may refuse a count
-        above about half of MAX_MODES (145 on the unit disk)."""
+        (pi / smallest dimension)^2 until the table holds them, and a level
+        past MAX_MODES thresholds is bisected back toward the table's.
+        Raises TooManyModes when no level holds `count` thresholds and at
+        most MAX_MODES: the count-th is also the (MAX_MODES + 1)-th."""
         level = (math.pi / min(shape_dims(self.shape))) ** 2
+        ceiling = math.inf  # the lowest level known to hold too many
         while len(self.values) < count:
-            level = max(level, 2.0 * self.level)
-            self._grow(level)
+            if ceiling == math.inf:
+                level = max(level, 2.0 * self.level)
+            else:
+                level = 0.5 * (self.level + ceiling)
+            if not self.level < level < ceiling:  # no level left between them
+                raise TooManyModes(
+                    f"{self.shape!r} has more than MAX_MODES = {MAX_MODES} thresholds up to its {count}-th"
+                )
+            try:
+                self._grow(level)
+            except TooManyModes:
+                ceiling = level
         return self.values[:count]
 
 

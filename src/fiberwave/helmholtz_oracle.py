@@ -2,30 +2,35 @@
 
 Solves -Laplace(u) = lambda u with Dirichlet walls on a union of
 axis-aligned rectangles (junction cores, channel segments and semi-infinite
-channel stubs truncated at finite length).  Each truncation plane carries a
-modal radiation condition built from the eigenvectors of the discrete 1-D
-cross-section Laplacian: per propagating mode du/dt = i sqrt(lambda - mu_n)
-u_n and per evanescent mode du/dt = -sqrt(mu_n - lambda) u_n, both
-evaluated with the exact discrete ratios of the 5-point stencil (phase
-theta_n per cell with 2(1 - cos theta) / h^2 + mu_n = lambda, decaying root
-for evanescent modes).  The closure is therefore reflection-free for the
-discrete problem: lengthening a stub changes the computed matrices only
-through the modes beyond the retained set (8 evanescent by default).
+channel stubs truncated at finite length) with the 5-point stencil.  One
+builder lays out the lattice and assembles the operator; each stub comes
+out of it as one complete record: its block of unknown ids, one row per
+transverse line counted out from the base plane, and the discrete
+transverse modes phi_n, mu_n of its cross-section.  Mode n's discrete wave
+along the stub is r_n^p, p cells out, with r_n + 1/r_n = 2 + h^2 (mu_n -
+lambda): the root on the unit circle, exp(i theta_n), is the outgoing wave
+of a propagating mode, and the root inside it the decaying wave of an
+evanescent one.  Each truncation plane is closed by the modal radiation
+condition du_n/dt = (r_n - 1/r_n) / (2h) u_n (Keller & Givoli, J. Comput.
+Phys. 82, 1989) for the propagating modes and 8 evanescent ones by
+default, one formula for both kinds.  The closure is exact for the
+discrete problem, so lengthening a stub changes the computed matrices only
+through the modes beyond the retained set.
 
 Junction scattering matrices computed here are the first-principles
 counterpart of the graph model's junction models: one column per incident
-(stub, mode) pair, all columns solved as one block by a single triangular
-solve with a single sparse LU factorization of the operator (ordered by
-minimum degree on A^T + A), amplitudes extracted by discrete projection
-one channel width from the stub base (at least one width inside the
-truncation) and referenced to the base plane in the continuum phase
-convention, so they converge at O(h^2) to the continuum matrices.
-Junctions are solved once at unit scale; rescaling the network by the fiber
-thickness maps the thin problem onto widths-fixed geometry with channel
-lengths divided by the thickness.  That rescaled network is one more
-junction whose stubs are the graph's infinite channels, so the full-network
-reference matrix comes from the same solve as every junction matrix, with
-rows and columns already in the graph's global mode ordering.
+(stub, mode) pair, the unit wave r^-p, all columns solved as one block by a
+single triangular solve with a single sparse LU factorization of the
+operator (ordered by minimum degree on A^T + A), amplitudes extracted by
+discrete projection one channel width from the stub base (at least one
+width inside the truncation) and referenced to the base plane in the
+continuum phase convention, so they converge at O(h^2) to the continuum
+matrices.  Junctions are solved once at unit scale; rescaling the network
+by the fiber thickness maps the thin problem onto widths-fixed geometry
+with channel lengths divided by the thickness.  That rescaled network is
+one more junction whose stubs are the graph's infinite channels, so the
+full-network reference matrix comes from the same solve as every junction
+matrix, with rows and columns already in the graph's global mode ordering.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ import hashlib
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -108,309 +112,208 @@ def _to_lattice(x: float, h: float, what: str) -> int:
     return int(r)
 
 
-@dataclass
-class _StubData:
-    index: int
-    axis: str  # "x" or "y"
-    outward: int  # +1 or -1
-    n_t: int  # transverse interior nodes
-    cells: int  # axial cells (length / h)
-    lattice: tuple[int, int, int, int]  # stub rectangle in node-lattice offsets
-    plane_ids: np.ndarray  # unknown ids on the truncation plane, q = 1..n_t
-    sub_ids: np.ndarray  # unknown ids one layer inward
-    extract_ids: np.ndarray  # unknown ids on the extraction plane
-    extract_cells: int  # axial index of the extraction plane
-    phi: np.ndarray  # (n_modes, n_t) discrete transverse modes
-    mu: np.ndarray  # discrete transverse eigenvalues
+def _rect_to_lattice(r: Rect, h: float) -> tuple[int, int, int, int]:
+    x0, y0, x1, y1 = r
+    if not (x1 > x0 and y1 > y0):
+        raise GeometryInvalid(f"degenerate rectangle {r!r}")
+    return (
+        _to_lattice(x0, h, "rectangle x0"),
+        _to_lattice(y0, h, "rectangle y0"),
+        _to_lattice(x1, h, "rectangle x1"),
+        _to_lattice(y1, h, "rectangle y1"),
+    )
+
+
+@dataclass(frozen=True)
+class _StubModes:
+    """One stub of the grid at one lambda.
+
+    `ids` is the stub's (cells + 1) x n_t block of unknown ids, a view of
+    the lattice's node ids: row p is the transverse line p cells out from
+    the base plane, so row `cells` is the truncation plane, and column q - 1
+    is transverse node q = 1..n_t.
+    `ratio` holds every mode's per-cell ratio r_n of the discrete wave
+    r_n^p, with |r_n| = 1 (outgoing) for the n_prop propagating modes and
+    |r_n| < 1 (decaying) for the others.
+    """
+
+    ids: np.ndarray
+    phi: np.ndarray  # (n_t, n_t) discrete transverse modes, one per row
+    mu: np.ndarray  # their discrete eigenvalues, ascending
     n_prop: int
-    n_retained: int
-    theta: np.ndarray  # per-cell phase of the discrete outgoing wave (propagating)
+    n_retained: int  # modes in the radiation condition
+    ratio: np.ndarray
     k_cont: np.ndarray  # continuum wavenumbers sqrt(lam - lambda_n) (propagating)
 
 
-class _Grid:
-    """Lattice discretization of a PlanarGeometry at one lambda."""
+def _modes(si: int, n_t: int, h: float, lam: float) -> tuple:
+    """The modal fields of stub si's _StubModes, n_t transverse nodes wide,
+    once the grid is known to resolve its propagating modes."""
+    if n_t < 1:
+        raise GeometryInvalid(f"stub {si} is only one cell wide")
+    width_cells = n_t + 1
+    n = np.arange(1, width_cells)
+    phi = np.sqrt(2.0 / (width_cells * h)) * np.sin(np.outer(n * math.pi / width_cells, n))
+    mu = (2.0 / h**2) * (1.0 - np.cos(n * math.pi / width_cells))
+    n_prop = int(np.sum(mu < lam))
+    ths = cs.thresholds_below(cs.Interval(width_cells * h), lam)
+    if n_prop != len(ths):
+        raise GridTooCoarse(
+            f"stub {si}: discrete grid sees {n_prop} propagating modes, continuum has "
+            f"{len(ths)}; lambda = {lam!r} too close to a threshold for h = {h!r}"
+        )
+    # r + 1/r = 2z; the square root's branch puts r on the unit circle for
+    # z < 1 and inside it for z > 1
+    z = 1.0 + h * h * (mu - lam) / 2.0
+    ratio = z + 1j * np.sqrt(1.0 - z * z + 0j)
+    k_cont = np.sqrt(lam - np.asarray(ths, dtype=float))
+    return phi, mu, n_prop, min(n_prop + DEFAULT_N_EVANESCENT, n_t), ratio, k_cont
 
-    def __init__(self, geom: PlanarGeometry, lam: float):
-        h = geom.h
-        if not (h > 0 and math.isfinite(h)):
-            raise GeometryInvalid(f"grid spacing must be positive and finite, got {h!r}")
-        if not math.isfinite(lam):
-            raise ValueError(f"lambda must be finite, got {lam!r}")
-        if lam > 0 and h > 2.0 * math.pi / (10.0 * math.sqrt(lam)):
-            raise GridTooCoarse(
-                f"h = {h!r} resolves fewer than 10 points per wavelength at lambda = {lam!r}"
-            )
-        self.h = h
 
-        rects = [self._rect_to_lattice(r, h) for r in geom.cores]
-        for s in geom.stubs:
-            if s.direction not in _DIRECTIONS:
-                raise GeometryInvalid(f"unknown stub direction {s.direction!r}")
-            if s.length < 2.0 * s.width - 1e-12:
-                raise GeometryInvalid(
-                    f"stub length {s.length!r} must be at least twice the width {s.width!r}"
-                )
-            rects.append(self._rect_to_lattice(s.rect, h))
-        if not rects:
-            raise GeometryInvalid("geometry has no rectangles")
-
-        ix0 = min(r[0] for r in rects)
-        iy0 = min(r[1] for r in rects)
-        ix1 = max(r[2] for r in rects)
-        iy1 = max(r[3] for r in rects)
-        ncx, ncy = ix1 - ix0, iy1 - iy0
-
-        covered = np.zeros((ncx, ncy), dtype=bool)
-        for (ax0, ay0, ax1, ay1) in rects:
-            sl = np.s_[ax0 - ix0 : ax1 - ix0, ay0 - iy0 : ay1 - iy0]
-            if covered[sl].any():
-                raise GeometryInvalid("rectangles overlap; cores and stubs must tile disjointly")
-            covered[sl] = True
-
-        # A node is an interior unknown iff all four adjacent cells are covered.
-        pad = np.zeros((ncx + 2, ncy + 2), dtype=bool)
-        pad[1:-1, 1:-1] = covered
-        # shape (ncx+1, ncy+1): the node lattice
-        interior = pad[:-1, :-1] & pad[1:, :-1] & pad[:-1, 1:] & pad[1:, 1:]
-
-        self.idx = -np.ones(interior.shape, dtype=np.int64)
-        self.stubs: list[_StubData] = []
-        plane_mask = np.zeros_like(interior)
-        for si, (s, r) in enumerate(zip(geom.stubs, rects[len(geom.cores) :])):
-            lattice = (r[0] - ix0, r[1] - iy0, r[2] - ix0, r[3] - iy0)
-            self.stubs.append(self._stub_data(si, s, lattice, lam))
-
-        # enumerate unknowns: interior nodes first (row-major), then plane nodes
-        ii, jj = np.nonzero(interior)
-        n_int = len(ii)
-        self.idx[ii, jj] = np.arange(n_int)
-        count = n_int
-        for sd in self.stubs:
-            plane = self._section(sd, sd.cells)
-            if interior[plane].any() or plane_mask[plane].any():
-                raise GeometryInvalid("truncation plane is blocked by another rectangle or stub")
-            plane_mask[plane] = True
-            self.idx[plane] = np.arange(count, count + sd.n_t)
-            count += sd.n_t
-        self.n_unknowns = count
-        if count > DEFAULT_NODE_BUDGET:
-            raise GridBudgetExceeded(f"{count} unknowns exceed the budget of {DEFAULT_NODE_BUDGET}")
-        if count == 0:
-            raise GeometryInvalid("no interior nodes; geometry too thin for this h")
-
-        for sd in self.stubs:
-            self._fill_stub_ids(sd)
-
-    @staticmethod
-    def _rect_to_lattice(r: Rect, h: float) -> tuple[int, int, int, int]:
-        x0, y0, x1, y1 = r
-        if not (x1 > x0 and y1 > y0):
-            raise GeometryInvalid(f"degenerate rectangle {r!r}")
-        return (
-            _to_lattice(x0, h, "rectangle x0"),
-            _to_lattice(y0, h, "rectangle y0"),
-            _to_lattice(x1, h, "rectangle x1"),
-            _to_lattice(y1, h, "rectangle y1"),
+def _lattice(geom: PlanarGeometry, lam: float) -> tuple[np.ndarray, list[_StubModes]]:
+    """The node lattice of a geometry at lambda, each node's unknown id or
+    -1, and its stubs' records in geometry order.  The unknowns are the
+    interior nodes (all four adjacent cells covered), row-major, then each
+    truncation plane in stub order."""
+    h = geom.h
+    if not (h > 0 and math.isfinite(h)):
+        raise GeometryInvalid(f"grid spacing must be positive and finite, got {h!r}")
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam!r}")
+    if lam > 0 and h > 2.0 * math.pi / (10.0 * math.sqrt(lam)):
+        raise GridTooCoarse(
+            f"h = {h!r} resolves fewer than 10 points per wavelength at lambda = {lam!r}"
         )
 
-    def _stub_data(self, si: int, s: Stub, lattice: tuple[int, int, int, int], lam: float) -> _StubData:
-        h = self.h
-        ax0, ay0, ax1, ay1 = lattice
-        if s.direction in ("+x", "-x"):
-            axis, outward = "x", (1 if s.direction == "+x" else -1)
-            width_cells, cells = ay1 - ay0, ax1 - ax0
+    rects = [_rect_to_lattice(r, h) for r in geom.cores]
+    for s in geom.stubs:
+        if s.direction not in _DIRECTIONS:
+            raise GeometryInvalid(f"unknown stub direction {s.direction!r}")
+        if s.length < 2.0 * s.width - 1e-12:
+            raise GeometryInvalid(
+                f"stub length {s.length!r} must be at least twice the width {s.width!r}"
+            )
+        rects.append(_rect_to_lattice(s.rect, h))
+    if not rects:
+        raise GeometryInvalid("geometry has no rectangles")
+    ix0, iy0 = min(r[0] for r in rects), min(r[1] for r in rects)
+    rects = [(x0 - ix0, y0 - iy0, x1 - ix0, y1 - iy0) for x0, y0, x1, y1 in rects]
+    covered = np.zeros((max(r[2] for r in rects), max(r[3] for r in rects)), dtype=bool)
+    for x0, y0, x1, y1 in rects:
+        if covered[x0:x1, y0:y1].any():
+            raise GeometryInvalid("rectangles overlap; cores and stubs must tile disjointly")
+        covered[x0:x1, y0:y1] = True
+    # A node is an interior unknown iff all four adjacent cells are covered.
+    pad = np.zeros((covered.shape[0] + 2, covered.shape[1] + 2), dtype=bool)
+    pad[1:-1, 1:-1] = covered
+    interior = pad[:-1, :-1] & pad[1:, :-1] & pad[:-1, 1:] & pad[1:, 1:]  # the node lattice
+
+    idx = -np.ones(interior.shape, dtype=np.int64)
+    blocks = []  # each stub's id block, a view of idx
+    for s, (x0, y0, x1, y1) in zip(geom.stubs, rects[len(geom.cores) :]):
+        if s.direction[1] == "x":
+            block = idx[x0 : x1 + 1, y0 + 1 : y1]
         else:
-            axis, outward = "y", (1 if s.direction == "+y" else -1)
-            width_cells, cells = ax1 - ax0, ay1 - ay0
-        n_t = width_cells - 1
-        if n_t < 1:
-            raise GeometryInvalid(f"stub {si} is only one cell wide")
-        w = width_cells * h
-        n = np.arange(n_t)
-        q = np.arange(1, n_t + 1)
-        phi = np.sqrt(2.0 / w) * np.sin(np.outer((n + 1) * math.pi / width_cells, q))
-        mu = (2.0 / h**2) * (1.0 - np.cos((n + 1) * math.pi / width_cells))
-        n_prop = int(np.sum(mu < lam))
-        ths = cs.thresholds_below(cs.Interval(w), lam) if lam > 0 else []
-        if n_prop != len(ths):
-            raise GridTooCoarse(
-                f"stub {si}: discrete grid sees {n_prop} propagating modes, continuum has "
-                f"{len(ths)}; lambda = {lam!r} too close to a threshold for h = {h!r}"
-            )
-        n_retained = min(n_prop + DEFAULT_N_EVANESCENT, n_t)
-        # The discrete outgoing wave of mode n advances by theta_n per cell:
-        # 2(1 - cos theta)/h^2 + mu = lam.  Closing the strip with the exact
-        # discrete ratio makes the truncation reflection-free, so the
-        # computed matrix is insensitive to the stub length.
-        theta = np.arccos(1.0 - h * h * (lam - mu[:n_prop]) / 2.0) if n_prop else np.zeros(0)
-        k_cont = np.sqrt(lam - np.asarray(ths, dtype=float))
-        return _StubData(
-            index=si,
-            axis=axis,
-            outward=outward,
-            n_t=n_t,
-            cells=cells,
-            lattice=lattice,
-            plane_ids=np.zeros(0, dtype=np.int64),
-            sub_ids=np.zeros(0, dtype=np.int64),
-            extract_ids=np.zeros(0, dtype=np.int64),
-            extract_cells=width_cells,
-            phi=phi,
-            mu=mu,
-            n_prop=n_prop,
-            n_retained=n_retained,
-            theta=theta,
-            k_cont=k_cont,
-        )
-
-    @staticmethod
-    def _section(sd: _StubData, p: int) -> tuple:
-        """Node-lattice index of stub sd's transverse line at axial index p
-        (0 = base plane), transverse index q = 1..n_t in ascending order."""
-        ax0, ay0, ax1, ay1 = sd.lattice
-        if sd.axis == "x":
-            return ((ax0 + p) if sd.outward > 0 else (ax1 - p), slice(ay0 + 1, ay1))
-        return (slice(ax0 + 1, ax1), (ay0 + p) if sd.outward > 0 else (ay1 - p))
-
-    def _fill_stub_ids(self, sd: _StubData) -> None:
-        def ids_at(p: int) -> np.ndarray:
-            out = self.idx[self._section(sd, p)].copy()
-            if np.any(out < 0):
-                raise GeometryInvalid(f"stub {sd.index}: cross-section at p={p} not interior")
-            return out
-
-        sd.plane_ids = ids_at(sd.cells)
-        sd.sub_ids = ids_at(sd.cells - 1)
-        # One channel width from the base plane: at least one width inside
-        # the truncation (lengths are >= 2 widths) while independent of the
-        # truncation distance, so lengthening a stub cannot move the
-        # measurement.
-        sd.extract_ids = ids_at(sd.extract_cells)
+            block = idx[x0 + 1 : x1, y0 : y1 + 1].T
+        blocks.append(block if s.direction[0] == "+" else block[::-1])
+    modes = [_modes(si, block.shape[1], h, lam) for si, block in enumerate(blocks)]
+    n = int(interior.sum())
+    idx[interior] = np.arange(n)
+    for block in blocks:
+        if np.any(block[-1] >= 0):  # an interior node, or another stub's plane
+            raise GeometryInvalid("truncation plane is blocked by another rectangle or stub")
+        block[-1] = np.arange(n, n + block.shape[1])
+        n += block.shape[1]
+    if n > DEFAULT_NODE_BUDGET:
+        raise GridBudgetExceeded(f"{n} unknowns exceed the budget of {DEFAULT_NODE_BUDGET}")
+    if n == 0:
+        raise GeometryInvalid("no interior nodes; geometry too thin for this h")
+    stubs = []
+    for si, (block, m) in enumerate(zip(blocks, modes)):
+        if np.any(block[1:] < 0):
+            raise GeometryInvalid(f"stub {si}: a cross-section past its base plane is not interior")
+        stubs.append(_StubModes(block, *m))
+    return idx, stubs
 
 
-class _HelmholtzSolver:
-    """Factorized discrete Helmholtz operator with modal DtN closures."""
+def _operator(geom: PlanarGeometry, lam: float) -> tuple[sp.csc_matrix, list[_StubModes]]:
+    """The discrete operator of a geometry at lambda, closed by the modal
+    radiation condition on every truncation plane, and its stubs' records in
+    geometry order.  The lattice's covering masks are freed before the
+    assembly allocates its COO pieces."""
+    idx, stubs = _lattice(geom, lam)
+    h = geom.h
+    all_ids = idx[idx >= 0]
+    n = len(all_ids)
+    rows, cols = [all_ids], [all_ids]
+    vals = [np.full(n, 4.0 - h * h * lam, dtype=complex)]
+    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        a = idx[max(di, 0) : idx.shape[0] + min(di, 0), max(dj, 0) : idx.shape[1] + min(dj, 0)]
+        b = idx[max(-di, 0) : idx.shape[0] + min(-di, 0), max(-dj, 0) : idx.shape[1] + min(-dj, 0)]
+        mask = (a >= 0) & (b >= 0)
+        rows.append(b[mask])
+        cols.append(a[mask])
+        vals.append(np.full(int(mask.sum()), -1.0, dtype=complex))
+    for s in stubs:
+        phi, r = s.phi[: s.n_retained], s.ratio[: s.n_retained]
+        dtn = (r - 1.0 / r) / (2.0 * h)  # d/dt of each retained mode's wave r^p
+        # ghost elimination: u_ghost = phi^T (u_hat_sub + 2 h Lambda u_hat_plane [+ b])
+        plane, sub = s.ids[-1], s.ids[-2]
+        rows += [np.repeat(plane, len(plane))] * 2
+        cols += [np.tile(plane, len(plane)), np.tile(sub, len(plane))]
+        plane_block = -2.0 * h * h * (phi.T @ (dtn[:, None] * phi))
+        sub_block = -h * (phi.T @ phi).astype(complex)
+        vals += [plane_block.ravel(), sub_block.ravel()]
+    mat = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    return mat.tocsc(), stubs
 
-    def __init__(self, geom: PlanarGeometry, lam: float):
-        self.grid = _Grid(geom, lam)
-        self.lam = lam
-        g = self.grid
-        h = g.h
-        n = g.n_unknowns
 
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        vals: list[np.ndarray] = []
+def _factor(matrix: sp.csc_matrix, lam: float):
+    """SuperLU factorization in SuperLU's minimum-degree order on A^T + A:
+    the 5-point stencil and the modal closure blocks make the pattern nearly
+    symmetric, and that order keeps 33-46 L+U entries per row where COLAMD
+    (ordering A^T A) keeps 54-77.  Pivot threshold, relax and panel size
+    stay at SuperLU's defaults; larger values were 2-3x slower with no less
+    fill.  It factors the matrix _operator returns, so the assembly's COO
+    pieces are freed before the factor's fill-in is allocated."""
+    try:
+        return splu(matrix, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:  # SuperLU: the operator is exactly singular
+        raise NonConvergedSolve(f"factorization failed at lambda = {lam!r}: {exc}") from exc
 
-        all_ids = g.idx[g.idx >= 0]
-        rows.append(all_ids)
-        cols.append(all_ids)
-        vals.append(np.full(len(all_ids), 4.0 - h * h * lam, dtype=complex))
 
-        idx = g.idx
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            a = idx[max(di, 0) : idx.shape[0] + min(di, 0), max(dj, 0) : idx.shape[1] + min(dj, 0)]
-            b = idx[max(-di, 0) : idx.shape[0] + min(-di, 0), max(-dj, 0) : idx.shape[1] + min(-dj, 0)]
-            mask = (a >= 0) & (b >= 0)
-            rows.append(b[mask])
-            cols.append(a[mask])
-            vals.append(np.full(int(mask.sum()), -1.0, dtype=complex))
+def _incidents(n: int, stubs: Sequence[_StubModes]) -> np.ndarray:
+    """One right-hand side per (stub, propagating mode), in stub then mode
+    order: the unit incident wave r^-p, referenced to the base plane p = 0,
+    enters the system only through its radiation-condition defect at the
+    truncation plane."""
+    b = np.zeros((n, sum(s.n_prop for s in stubs)), dtype=complex)
+    col = 0
+    for s in stubs:
+        r = s.ratio[: s.n_prop]
+        amp = -2.0 * (r - 1.0 / r) * r ** -(len(s.ids) - 1)  # the plane is len(ids) - 1 cells out
+        b[s.ids[-1], col : col + s.n_prop] = s.phi[: s.n_prop].T * amp
+        col += s.n_prop
+    return b
 
-        for sd in g.stubs:
-            lam_arr = np.zeros(sd.n_retained, dtype=complex)
-            for m in range(sd.n_retained):
-                if m < sd.n_prop:
-                    lam_arr[m] = 1j * math.sin(sd.theta[m]) / h
-                else:
-                    # decaying discrete solution rho^{-p}, rho + 1/rho = 2 + h^2 (mu - lam)
-                    z = 1.0 + h * h * (sd.mu[m] - lam) / 2.0
-                    rho = z + math.sqrt(z * z - 1.0)
-                    lam_arr[m] = (1.0 / rho - rho) / (2.0 * h)
-            phi_r = sd.phi[: sd.n_retained]  # (n_ret, n_t)
-            # ghost elimination: u_ghost = phi^T (u_hat_sub + 2 h Lambda u_hat_plane [+ b])
-            plane_block = -2.0 * h * h * (phi_r.T @ (lam_arr[:, None] * phi_r))
-            sub_block = -h * (phi_r.T @ phi_r).astype(complex)
-            pq = sd.plane_ids
-            sq = sd.sub_ids
-            rr, cc2 = np.meshgrid(pq, pq, indexing="ij")
-            rows.append(rr.ravel())
-            cols.append(cc2.ravel())
-            vals.append(plane_block.ravel())
-            rr, cc2 = np.meshgrid(pq, sq, indexing="ij")
-            rows.append(rr.ravel())
-            cols.append(cc2.ravel())
-            vals.append(sub_block.ravel())
 
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-        ).tocsc()
-        self.matrix = mat
-
-    @cached_property
-    def lu(self):
-        """SuperLU factorization in SuperLU's minimum-degree order on
-        A^T + A: the 5-point stencil and the DtN blocks make the pattern
-        nearly symmetric, and that order keeps 33-46 L+U entries per row
-        where COLAMD (ordering A^T A) keeps 54-77.  Pivot threshold, relax
-        and panel size stay at SuperLU's defaults; larger values were 2-3x
-        slower with no less fill.  Made on first use rather than in
-        __init__ so that the assembly's COO pieces are freed before the
-        factor's fill-in is allocated."""
-        try:
-            return splu(self.matrix, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:  # SuperLU: the operator is exactly singular
-            raise NonConvergedSolve(f"factorization failed at lambda = {self.lam!r}: {exc}") from exc
-
-    def rhs_for(self, incident: tuple[int, int]) -> np.ndarray:
-        g = self.grid
-        b = np.zeros(g.n_unknowns, dtype=complex)
-        si, mode = incident
-        if not 0 <= si < len(g.stubs):
-            raise ValueError(f"no stub {si}")
-        sd = g.stubs[si]
-        if not 0 <= mode < sd.n_prop:
-            raise ValueError(f"stub {si} has {sd.n_prop} propagating modes, asked for {mode}")
-        # Incident unit-amplitude discrete wave exp(-i theta p), referenced
-        # to the base plane p = 0; only its radiation-condition defect at
-        # the truncation plane enters the system.
-        th = sd.theta[mode]
-        amp = -4j * math.sin(th) * np.exp(-1j * th * sd.cells)
-        b[sd.plane_ids] = sd.phi[mode] * amp
-        return b
-
-    def solve(self, incidents: Sequence[tuple[int, int]]) -> np.ndarray:
-        """Fields of all incidents as the columns of one (n, k) block, from
-        one multi-right-hand-side triangular solve with no refinement step
-        (its residual is already near 1e-14); each column must be finite and
-        meet the residual test on its own."""
-        b = np.zeros((self.grid.n_unknowns, len(incidents)), dtype=complex)
-        for col, inc in enumerate(incidents):
-            b[:, col] = self.rhs_for(inc)
-        u = self.lu.solve(b)
-        scale = np.maximum(np.max(np.abs(b), axis=0), 1e-300)
-        rel = np.max(np.abs(b - self.matrix @ u), axis=0) / scale
-        for col in range(len(incidents)):
-            if not np.all(np.isfinite(u[:, col])) or rel[col] > 1e-8:
-                raise NonConvergedSolve(f"discrete solve residual {rel[col]:.3e}")
-        return u
-
-    def extract(self, u: np.ndarray, incidents: Sequence[tuple[int, int]]) -> np.ndarray:
-        """Outgoing amplitudes of every (stub, propagating mode) row, stubs in
-        geometry order, for every column of the solved block u, projected on
-        the extraction plane and referenced to the stub base plane in the
-        continuum phase convention of the channel."""
-        h = self.grid.h
-        blocks = [np.zeros((0, u.shape[1]), dtype=complex)]  # a geometry may have no stubs
-        for sd in self.grid.stubs:
-            p_e = sd.extract_cells
-            hat = h * (sd.phi[: sd.n_prop] @ u[sd.extract_ids])
-            for col, inc in enumerate(incidents):
-                if inc[0] == sd.index:
-                    # remove the (exactly known) discrete incident wave
-                    hat[inc[1], col] -= np.exp(-1j * sd.theta[inc[1]] * p_e)
-            blocks.append(hat * np.exp(-1j * sd.k_cont * (p_e * h))[:, None])
-        return np.concatenate(blocks)
+def _extract(u: np.ndarray, stubs: Sequence[_StubModes], h: float) -> np.ndarray:
+    """Outgoing amplitudes of every (stub, propagating mode) row for every
+    column of u, u's columns solved from _incidents: the field is projected
+    on the extraction plane one channel width from the base plane, the
+    incident wave is removed, and the rest is referenced to the base plane
+    in the continuum phase convention of the channel."""
+    blocks = [np.zeros((0, u.shape[1]), dtype=complex)]  # a geometry may have no stubs
+    col = 0
+    for s in stubs:
+        # at least one width inside the truncation (stubs are >= 2 widths
+        # long), so lengthening a stub cannot move the measurement
+        p_e = s.ids.shape[1] + 1
+        hat = h * (s.phi[: s.n_prop] @ u[s.ids[p_e]])
+        hat[:, col : col + s.n_prop] -= np.diag(s.ratio[: s.n_prop] ** -p_e)
+        blocks.append(hat * np.exp(-1j * s.k_cont * (p_e * h))[:, None])
+        col += s.n_prop
+    return np.concatenate(blocks)
 
 
 @dataclass
@@ -434,14 +337,21 @@ class JunctionScattering:
         return [(s, m) for s, c in enumerate(self.mode_counts) for m in range(c)]
 
 
-def _scatter(geom: PlanarGeometry, lam: float) -> tuple[np.ndarray, list[_StubData]]:
+def _scatter(geom: PlanarGeometry, lam: float) -> tuple[np.ndarray, list[_StubModes]]:
     """Outgoing amplitudes of every (stub, propagating mode) row for every
-    (stub, propagating mode) incident column, from one factorization and
-    one block solve, with the stubs that label the rows and columns."""
-    solver = _HelmholtzSolver(geom, lam)
-    stubs = solver.grid.stubs
-    entries = [(sd.index, m) for sd in stubs for m in range(sd.n_prop)]
-    return solver.extract(solver.solve(entries), entries), stubs
+    (stub, propagating mode) incident column, with the stubs that label
+    them: one factorization and one multi-right-hand-side triangular solve
+    with no refinement step (its residual is already near 1e-14), each
+    column finite and within the residual test on its own."""
+    matrix, stubs = _operator(geom, lam)
+    b = _incidents(matrix.shape[0], stubs)
+    lu = _factor(matrix, lam)
+    u = lu.solve(b)
+    rel = np.max(np.abs(b - matrix @ u), axis=0) / np.maximum(np.max(np.abs(b), axis=0), 1e-300)
+    bad = ~np.isfinite(u).all(axis=0) | (rel > 1e-8)
+    if bad.any():
+        raise NonConvergedSolve(f"discrete solve residual {rel[bad][0]:.3e}")
+    return _extract(u, stubs, geom.h), stubs
 
 
 def junction_matrix(geom: PlanarGeometry, lam: float) -> JunctionScattering:
@@ -450,11 +360,11 @@ def junction_matrix(geom: PlanarGeometry, lam: float) -> JunctionScattering:
     matrix, stubs = _scatter(geom, lam)
     return JunctionScattering(
         matrix=matrix,
-        d_diag=np.array([k for sd in stubs for k in sd.k_cont]),
+        d_diag=np.array([k for s in stubs for k in s.k_cont]),
         lam=lam,
         h=geom.h,
         geometry_hash=geom.hash(),
-        mode_counts=tuple(sd.n_prop for sd in stubs),
+        mode_counts=tuple(s.n_prop for s in stubs),
     )
 
 

@@ -21,7 +21,7 @@ from fiberwave.cross_section import (
 from fiberwave.errors import NoInfiniteChannels, ThresholdCollision, TooManyModes
 from fiberwave.graph_model import Channel, MetricGraph, Vertex, Dirichlet
 
-from conftest import dirichlet_lead
+from conftest import dirichlet_lead, load_perfbench
 
 
 # Independent oracle for the first zero of J0: power series + bisection.
@@ -154,6 +154,52 @@ def test_mode_count_is_bounded(shape):
         thresholds_below(Interval(math.pi), (MAX_MODES + 1) ** 2 + 0.5)
 
 
+@pytest.mark.parametrize(
+    "shape, spec",
+    [
+        (Interval(math.pi), {"shape": "interval", "dims": [math.pi]}),
+        (Rectangle(1.0, 1.0), {"shape": "rectangle", "dims": [1.0, 1.0]}),
+        (Disk(1.0), {"shape": "disk", "dims": [1.0]}),
+    ],
+    ids=["interval", "rectangle", "disk"],
+)
+def test_first_serves_every_count_up_to_the_bound(shape, spec):
+    """Every count up to MAX_MODES gets the lowest thresholds of the
+    benchmark's independent enumeration, unless its last threshold is also
+    the (MAX_MODES + 1)-th, which no table of at most MAX_MODES can hold:
+    only count 256 on the unit square, where a degenerate pair straddles
+    the bound."""
+    gen = load_perfbench("gen")
+    cap = 16.0
+    while len(spectrum := gen.shape_thresholds(spec, cap)) <= MAX_MODES:
+        cap *= 2.0
+    refused = []
+    for n in range(1, MAX_MODES + 1):
+        if spectrum[n - 1] == spectrum[MAX_MODES]:
+            refused.append(n)
+            with pytest.raises(TooManyModes):
+                thresholds(shape, n)
+        else:
+            assert thresholds(shape, n) == spectrum[:n], n
+    assert refused == ([MAX_MODES] if isinstance(shape, Rectangle) else [])
+
+
+def test_disk_refusal_computes_each_order_once(monkeypatch):
+    """Refusing the unit disk at lambda = 1e30 walks order 0 to index 257;
+    the zeros come in arrays of doubling size, not one array per index."""
+    asked = []
+
+    def counting_jn_zeros(m, k):
+        asked.append(k)
+        return jn_zeros(m, k)
+
+    monkeypatch.setattr(cross_section, "jn_zeros", counting_jn_zeros)
+    cross_section._bessel_zeros.cache_clear()
+    with pytest.raises(TooManyModes):
+        thresholds_below(Disk(1.0), 1e30)
+    assert sum(asked) <= 4 * (MAX_MODES + 1)
+
+
 def test_lambda0():
     g = MetricGraph(
         channels=(
@@ -196,7 +242,7 @@ def test_mode_table_thresholds_ascending():
 
 
 @pytest.mark.parametrize(
-    "helper, key", [(cross_section._bessel_zero, lambda i: (i, 1))], ids=["bessel_zero"]
+    "helper, key", [(cross_section._bessel_zeros, lambda i: (i, 1))], ids=["bessel_zero"]
 )
 def test_spectrum_caches_are_bounded(helper, key):
     bound = cross_section.SPECTRUM_CACHE_SIZE
@@ -223,7 +269,7 @@ def test_disk_enumeration_does_not_depend_on_radius(monkeypatch):
         return jn_zeros(m, k)
 
     monkeypatch.setattr(cross_section, "jn_zeros", counting_jn_zeros)
-    cross_section._bessel_zero.cache_clear()
+    cross_section._bessel_zeros.cache_clear()
     for i in range(2000):
         thresholds_below(Disk(0.95 + 1e-4 * i), 20.0)
     assert len(calls) <= 10

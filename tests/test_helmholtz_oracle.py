@@ -21,7 +21,10 @@ from fiberwave.graph_solver import SolveRequest, solve_scattering
 from fiberwave.helmholtz_oracle import (
     PlanarGeometry,
     Stub,
-    _HelmholtzSolver,
+    _extract,
+    _factor,
+    _incidents,
+    _operator,
     cross_geometry,
     duct_geometry,
     elbow_geometry,
@@ -71,15 +74,48 @@ def test_duct_richardson_extrapolation_rate():
     assert 3.0 <= e1 / e2 <= 5.0
 
 
+def single_incident_column(geom: PlanarGeometry, lam: float, col: int) -> np.ndarray:
+    """Column `col` of the junction matrix from an operator, a factor and
+    a solve of that incident alone."""
+    matrix, stubs = _operator(geom, lam)
+    b = _incidents(matrix.shape[0], stubs)
+    u = np.zeros_like(b)
+    u[:, col] = _factor(matrix, lam).solve(b[:, col])
+    return _extract(u, stubs, geom.h)[:, col]
+
+
 def test_solver_linearity():
     geom = cross_geometry(W, 2 * W, math.pi / 16)
-    solver = _HelmholtzSolver(geom, LAM)
-    b1 = solver.rhs_for((0, 0))
-    b2 = solver.rhs_for((2, 0))
-    u1 = solver.lu.solve(b1)
-    u2 = solver.lu.solve(b2)
-    u12 = solver.lu.solve(b1 + 2.5j * b2)
+    matrix, stubs = _operator(geom, LAM)
+    lu = _factor(matrix, LAM)
+    b = _incidents(matrix.shape[0], stubs)
+    b1 = b[:, 0]  # incident (0, 0)
+    b2 = b[:, 2]  # incident (2, 0)
+    u1 = lu.solve(b1)
+    u2 = lu.solve(b2)
+    u12 = lu.solve(b1 + 2.5j * b2)
     assert np.max(np.abs(u12 - (u1 + 2.5j * u2))) < 1e-12
+
+
+def test_modal_ratio_branch_at_both_band_edges():
+    """On a width-pi stub at h = pi/32, mode 1 just past its threshold is an
+    outgoing wave (z -> 1 from below, |r| = 1) and mode 2 just short of its
+    discrete threshold a decaying one (z -> 1 from above, |r| < 1)."""
+    h = math.pi / 32
+    geom = duct_geometry(W, 2 * W, h)
+    mu_2 = _operator(geom, LAM)[1][0].mu[1]
+    for lam, mode in ((1.0 + 1e-6, 0), (mu_2 - 1e-9, 1)):
+        s = _operator(geom, lam)[1][0]
+        z = 1.0 + h * h * (s.mu[mode] - lam) / 2.0
+        r = s.ratio[mode]
+        if mode < s.n_prop:
+            assert z < 1.0 and abs(abs(r) - 1.0) <= 4 * np.finfo(float).eps
+        else:
+            assert z > 1.0 and abs(r) < 1.0
+        assert abs(r + 1.0 / r - 2.0 * z) <= 1e-12 * abs(2.0 * z)
+        js = junction_matrix(geom, lam)
+        assert np.all(np.isfinite(js.matrix))
+        assert np.max(np.abs(flux_residual(js))) <= h**2
 
 
 def test_cross_junction_symmetry_orbits():
@@ -145,11 +181,11 @@ def test_junction_metadata():
 
 def test_no_propagating_modes_below_bottom():
     geom = duct_geometry(W, 2 * W, math.pi / 16)
-    solver = _HelmholtzSolver(geom, 0.5)
-    assert all(sd.n_prop == 0 for sd in solver.grid.stubs)
-    u = solver.solve([])
-    assert u.shape == (solver.grid.n_unknowns, 0)
-    assert solver.extract(u, []).shape == (0, 0)
+    matrix, stubs = _operator(geom, 0.5)
+    assert all(s.n_prop == 0 for s in stubs)
+    u = _factor(matrix, 0.5).solve(_incidents(matrix.shape[0], stubs))
+    assert u.shape == (matrix.shape[0], 0)
+    assert _extract(u, stubs, geom.h).shape == (0, 0)
     js = junction_matrix(geom, 0.5)
     assert js.matrix.shape == (0, 0)
     assert flux_residual(js).shape == (0,)
@@ -165,9 +201,8 @@ def test_junction_matrix_without_propagating_modes():
 def test_junction_matrix_columns_match_single_incident_solves():
     geom = cross_geometry(W, 2 * W, math.pi / 32)
     js = junction_matrix(geom, LAM)
-    for col, inc in enumerate(js.entries):
-        solver = _HelmholtzSolver(geom, LAM)
-        column = solver.extract(solver.solve([inc]), [inc])[:, 0]
+    for col in range(len(js.entries)):
+        column = single_incident_column(geom, LAM, col)
         assert np.max(np.abs(js.matrix[:, col] - column)) <= 1e-13
 
 
@@ -248,9 +283,10 @@ def test_oracle_factor_fill_below_default_ordering():
     """The minimum-degree order on A^T + A suits the nearly symmetric
     stencil: on the pi/32 two-cross network at eps = 1/2 its factor holds
     at most 0.7 of the L + U entries of scipy's default (COLAMD) order."""
-    solver = _HelmholtzSolver(network_geometry(two_cross_network(math.pi / 2, math.pi / 32), 0.5), LAM)
-    default = splu(solver.matrix)
-    assert solver.lu.L.nnz + solver.lu.U.nnz <= 0.7 * (default.L.nnz + default.U.nnz)
+    matrix, _ = _operator(network_geometry(two_cross_network(math.pi / 2, math.pi / 32), 0.5), LAM)
+    lu = _factor(matrix, LAM)
+    default = splu(matrix)
+    assert lu.L.nnz + lu.U.nnz <= 0.7 * (default.L.nnz + default.U.nnz)
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +412,7 @@ def test_network_block_solve_matches_column_solves(monkeypatch):
     js = junction_matrix(geom, LAM)
     assert np.array_equal(t, js.matrix)
     assert js.entries == [(s, 0) for s in range(6)]  # stub s serves ns.ordering.entries[s]
-    for col, inc in enumerate(js.entries):
-        solver = _HelmholtzSolver(geom, LAM)
-        column = solver.extract(solver.solve([inc]), [inc])[:, 0]
+    for col in range(len(js.entries)):
+        column = single_incident_column(geom, LAM, col)
         assert np.max(np.abs(t[:, col] - column)) <= 1e-13
     assert len(factored) == 2 + len(js.entries)
