@@ -4,33 +4,42 @@ Solves -Laplace(u) = lambda u with Dirichlet walls on a union of
 axis-aligned rectangles (junction cores, channel segments and semi-infinite
 channel stubs truncated at finite length) with the 5-point stencil.  One
 builder lays out the lattice and assembles the operator; each stub comes
-out of it as one complete record: its block of unknown ids, one row per
-transverse line counted out from the base plane, and the discrete
-transverse modes phi_n, mu_n of its cross-section.  Mode n's discrete wave
-along the stub is r_n^p, p cells out, with r_n + 1/r_n = 2 + h^2 (mu_n -
-lambda): the root on the unit circle, exp(i theta_n), is the outgoing wave
-of a propagating mode, and the root inside it the decaying wave of an
-evanescent one.  Each truncation plane is closed by the modal radiation
-condition du_n/dt = (r_n - 1/r_n) / (2h) u_n (Keller & Givoli, J. Comput.
-Phys. 82, 1989) for the propagating modes and 8 evanescent ones by
-default, one formula for both kinds.  The closure is exact for the
-discrete problem, so lengthening a stub changes the computed matrices only
-through the modes beyond the retained set.
+out of it as one complete record: the unknown ids of its two meshed lines,
+and the discrete transverse modes phi_n, mu_n of its cross-section.  Mode
+n's discrete wave along the stub is r_n^p, p cells out from the base
+plane, with r_n + 1/r_n = 2 + h^2 (mu_n - lambda): the root on the unit
+circle, exp(i theta_n), is the outgoing wave of a propagating mode, and the
+root inside it the decaying wave of an evanescent one.
+
+A stub is a uniform strip that the discrete modes solve exactly, so only
+its base plane (p = 0) and the line past it (p = 1) are meshed, and the
+strip beyond enters through each mode's ratio rho_n = u_n(2) / u_n(1).  The
+propagating modes and 8 evanescent ones by default meet the modal
+radiation condition du_n/dt = (r_n - 1/r_n) / (2h) u_n (Keller & Givoli,
+J. Comput. Phys. 82, 1989) at the truncation plane, `cells` out, which
+admits no incoming wave, so rho_n = r_n.  The other modes vanish on the
+line N = cells + 1, so rho_n = r_n (1 - r_n^(2(N-2))) / (1 - r_n^(2(N-1))).
+This is the operator of the stub meshed out to its truncation plane,
+eliminated exactly.  Stub length and the number of retained modes enter
+only through that round trip r_n^(2(N-1)) of the modes past the retained
+ones: with 8 retained it is below rounding for any stub two widths long,
+and with none it moves the cross junction at lambda = 2 by about 4e-9.
 
 Junction scattering matrices computed here are the first-principles
 counterpart of the graph model's junction models: one column per incident
 (stub, mode) pair, the unit wave r^-p, all columns solved as one block by a
 single triangular solve with a single sparse LU factorization of the
-operator (ordered by minimum degree on A^T + A), amplitudes extracted by
-discrete projection one channel width from the stub base (at least one
-width inside the truncation) and referenced to the base plane in the
-continuum phase convention, so they converge at O(h^2) to the continuum
-matrices.  Junctions are solved once at unit scale; rescaling the network
-by the fiber thickness maps the thin problem onto widths-fixed geometry
-with channel lengths divided by the thickness.  That rescaled network is
-one more junction whose stubs are the graph's infinite channels, so the
-full-network reference matrix comes from the same solve as every junction
-matrix, with rows and columns already in the graph's global mode ordering.
+operator (ordered by minimum degree on A^T + A), amplitudes projected on
+each stub's line p = 1, carried to the extraction plane one channel width
+from the stub base and referenced to the base plane in the continuum phase
+convention, so they converge at O(h^2) to the continuum matrices.
+Junctions are solved once at unit scale; rescaling the network by the fiber
+thickness maps the thin problem onto widths-fixed geometry with channel
+lengths divided by the thickness.  That rescaled network is one more
+junction whose stubs are the graph's infinite channels, so the full-network
+reference matrix comes from the same solve as every junction matrix, with
+rows and columns already in the graph's global mode ordering.  The links
+between junctions stay meshed.
 """
 
 from __future__ import annotations
@@ -128,27 +137,31 @@ def _rect_to_lattice(r: Rect, h: float) -> tuple[int, int, int, int]:
 class _StubModes:
     """One stub of the grid at one lambda.
 
-    `ids` is the stub's (cells + 1) x n_t block of unknown ids, a view of
-    the lattice's node ids: row p is the transverse line p cells out from
-    the base plane, so row `cells` is the truncation plane, and column q - 1
-    is transverse node q = 1..n_t.
+    `ids` is the stub's 2 x n_t block of unknown ids: row 0 is the base
+    plane and row 1 the line one cell out, the only stub lines that are
+    meshed, and column q - 1 is transverse node q = 1..n_t.
     `ratio` holds every mode's per-cell ratio r_n of the discrete wave
     r_n^p, with |r_n| = 1 (outgoing) for the n_prop propagating modes and
-    |r_n| < 1 (decaying) for the others.
+    |r_n| < 1 (decaying) for the others.  `closure` holds each mode's
+    u_n(2) / u_n(1) in the eliminated strip past row 1: r_n for the
+    retained modes, whose radiation condition at the truncation plane
+    admits no incoming wave, and r_n (1 - r_n^(2(N-2))) / (1 - r_n^(2(N-1)))
+    for the others, which vanish on the line N = cells + 1 past the plane.
     """
 
     ids: np.ndarray
     phi: np.ndarray  # (n_t, n_t) discrete transverse modes, one per row
     mu: np.ndarray  # their discrete eigenvalues, ascending
     n_prop: int
-    n_retained: int  # modes in the radiation condition
     ratio: np.ndarray
+    closure: np.ndarray
     k_cont: np.ndarray  # continuum wavenumbers sqrt(lam - lambda_n) (propagating)
 
 
-def _modes(si: int, n_t: int, h: float, lam: float) -> tuple:
-    """The modal fields of stub si's _StubModes, n_t transverse nodes wide,
-    once the grid is known to resolve its propagating modes."""
+def _modes(si: int, n_t: int, cells: int, h: float, lam: float) -> tuple:
+    """The modal fields of stub si's _StubModes, n_t transverse nodes wide
+    and `cells` cells long, once the grid is known to resolve its
+    propagating modes."""
     if n_t < 1:
         raise GeometryInvalid(f"stub {si} is only one cell wide")
     width_cells = n_t + 1
@@ -166,15 +179,24 @@ def _modes(si: int, n_t: int, h: float, lam: float) -> tuple:
     # z < 1 and inside it for z > 1
     z = 1.0 + h * h * (mu - lam) / 2.0
     ratio = z + 1j * np.sqrt(1.0 - z * z + 0j)
+    # modes past the retained ones are evanescent, 0 < r < 1, so the powers
+    # cannot overflow and the strip has no resonance
+    n_retained = min(n_prop + DEFAULT_N_EVANESCENT, n_t)
+    closure = ratio.copy()
+    r = ratio[n_retained:]
+    closure[n_retained:] = r * (1.0 - r ** (2 * (cells - 1))) / (1.0 - r ** (2 * cells))
     k_cont = np.sqrt(lam - np.asarray(ths, dtype=float))
-    return phi, mu, n_prop, min(n_prop + DEFAULT_N_EVANESCENT, n_t), ratio, k_cont
+    return phi, mu, n_prop, ratio, closure, k_cont
 
 
 def _lattice(geom: PlanarGeometry, lam: float) -> tuple[np.ndarray, list[_StubModes]]:
     """The node lattice of a geometry at lambda, each node's unknown id or
-    -1, and its stubs' records in geometry order.  The unknowns are the
-    interior nodes (all four adjacent cells covered), row-major, then each
-    truncation plane in stub order."""
+    -1, and its stubs' records in geometry order.  The full lattice is laid
+    out and checked, truncation planes included; then each stub's strip
+    past its row 1 is dropped, and the unknowns are the remaining interior
+    nodes (all four adjacent cells covered), row-major.  The strip is
+    eliminated exactly only if its side walls are walls, so a rectangle
+    touching them past row 1 is rejected."""
     h = geom.h
     if not (h > 0 and math.isfinite(h)):
         raise GeometryInvalid(f"grid spacing must be positive and finite, got {h!r}")
@@ -209,40 +231,51 @@ def _lattice(geom: PlanarGeometry, lam: float) -> tuple[np.ndarray, list[_StubMo
     interior = pad[:-1, :-1] & pad[1:, :-1] & pad[:-1, 1:] & pad[1:, 1:]  # the node lattice
 
     idx = -np.ones(interior.shape, dtype=np.int64)
-    blocks = []  # each stub's id block, a view of idx
+    walled = []  # each stub's lines of idx with its side walls as columns 0 and -1
     for s, (x0, y0, x1, y1) in zip(geom.stubs, rects[len(geom.cores) :]):
-        if s.direction[1] == "x":
-            block = idx[x0 : x1 + 1, y0 + 1 : y1]
-        else:
-            block = idx[x0 + 1 : x1, y0 : y1 + 1].T
-        blocks.append(block if s.direction[0] == "+" else block[::-1])
-    modes = [_modes(si, block.shape[1], h, lam) for si, block in enumerate(blocks)]
-    n = int(interior.sum())
-    idx[interior] = np.arange(n)
-    for block in blocks:
-        if np.any(block[-1] >= 0):  # an interior node, or another stub's plane
+        block = idx[x0 : x1 + 1, y0 : y1 + 1]
+        block = block if s.direction[1] == "x" else block.T
+        walled.append(block if s.direction[0] == "+" else block[::-1])
+    modes = [_modes(si, w.shape[1] - 2, w.shape[0] - 1, h, lam) for si, w in enumerate(walled)]
+    idx[interior] = 0  # numbered once the strips are dropped
+    for w in walled:
+        if np.any(w[-1, 1:-1] >= 0):  # an interior node, or another stub's plane
             raise GeometryInvalid("truncation plane is blocked by another rectangle or stub")
-        block[-1] = np.arange(n, n + block.shape[1])
-        n += block.shape[1]
+        w[-1, 1:-1] = 0
+    past_base = [bool(np.all(w[1:, 1:-1] >= 0)) for w in walled]
+    touched = [bool(np.any(w[2:, [0, -1]] >= 0)) for w in walled]
+    for w in walled:
+        w[2:, 1:-1] = -1
+    n = int(np.count_nonzero(idx >= 0))
+    idx[idx >= 0] = np.arange(n)
     if n > DEFAULT_NODE_BUDGET:
         raise GridBudgetExceeded(f"{n} unknowns exceed the budget of {DEFAULT_NODE_BUDGET}")
     if n == 0:
         raise GeometryInvalid("no interior nodes; geometry too thin for this h")
     stubs = []
-    for si, (block, m) in enumerate(zip(blocks, modes)):
-        if np.any(block[1:] < 0):
+    for si, (w, m) in enumerate(zip(walled, modes)):
+        if not past_base[si]:
             raise GeometryInvalid(f"stub {si}: a cross-section past its base plane is not interior")
-        stubs.append(_StubModes(block, *m))
+        if touched[si]:
+            raise GeometryInvalid(f"stub {si}: a side wall past its first line touches another rectangle")
+        stubs.append(_StubModes(w[:2, 1:-1], *m))
     return idx, stubs
 
 
 def _operator(geom: PlanarGeometry, lam: float) -> tuple[sp.csc_matrix, list[_StubModes]]:
-    """The discrete operator of a geometry at lambda, closed by the modal
-    radiation condition on every truncation plane, and its stubs' records in
-    geometry order.  The lattice's covering masks are freed before the
-    assembly allocates its COO pieces."""
+    """The discrete operator of a geometry at lambda and its stubs' records
+    in geometry order: the 5-point stencil on the meshed nodes, with each
+    stub's row 1 closed by its eliminated strip."""
     idx, stubs = _lattice(geom, lam)
-    h = geom.h
+    return _assemble(idx, stubs, geom.h, lam), stubs
+
+
+def _assemble(idx: np.ndarray, stubs: Sequence[_StubModes], h: float, lam: float) -> sp.csc_matrix:
+    """The operator on _lattice's unknowns.  The strip past a stub's row 1
+    enters as its value on row 2, phi^T diag(closure) u_hat(1) with
+    u_hat = h phi u, so row 1 gets the one block -h phi^T diag(closure) phi.
+    The lattice's covering masks are freed before the assembly allocates
+    its COO pieces."""
     all_ids = idx[idx >= 0]
     n = len(all_ids)
     rows, cols = [all_ids], [all_ids]
@@ -255,26 +288,21 @@ def _operator(geom: PlanarGeometry, lam: float) -> tuple[sp.csc_matrix, list[_St
         cols.append(a[mask])
         vals.append(np.full(int(mask.sum()), -1.0, dtype=complex))
     for s in stubs:
-        phi, r = s.phi[: s.n_retained], s.ratio[: s.n_retained]
-        dtn = (r - 1.0 / r) / (2.0 * h)  # d/dt of each retained mode's wave r^p
-        # ghost elimination: u_ghost = phi^T (u_hat_sub + 2 h Lambda u_hat_plane [+ b])
-        plane, sub = s.ids[-1], s.ids[-2]
-        rows += [np.repeat(plane, len(plane))] * 2
-        cols += [np.tile(plane, len(plane)), np.tile(sub, len(plane))]
-        plane_block = -2.0 * h * h * (phi.T @ (dtn[:, None] * phi))
-        sub_block = -h * (phi.T @ phi).astype(complex)
-        vals += [plane_block.ravel(), sub_block.ravel()]
+        line = s.ids[1]
+        rows.append(np.repeat(line, len(line)))
+        cols.append(np.tile(line, len(line)))
+        vals.append((-h * (s.phi.T @ (s.closure[:, None] * s.phi))).ravel())
     mat = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
-    return mat.tocsc(), stubs
+    return mat.tocsc()
 
 
 def _factor(matrix: sp.csc_matrix, lam: float):
     """SuperLU factorization in SuperLU's minimum-degree order on A^T + A:
     the 5-point stencil and the modal closure blocks make the pattern nearly
-    symmetric, and that order keeps 33-46 L+U entries per row where COLAMD
-    (ordering A^T A) keeps 54-77.  Pivot threshold, relax and panel size
+    symmetric, and that order keeps 29-52 L+U entries per row where COLAMD
+    (ordering A^T A) keeps 47-92.  Pivot threshold, relax and panel size
     stay at SuperLU's defaults; larger values were 2-3x slower with no less
-    fill.  It factors the matrix _operator returns, so the assembly's COO
+    fill.  It factors the matrix _assemble returns, so the assembly's COO
     pieces are freed before the factor's fill-in is allocated."""
     try:
         return splu(matrix, permc_spec="MMD_AT_PLUS_A")
@@ -284,15 +312,14 @@ def _factor(matrix: sp.csc_matrix, lam: float):
 
 def _incidents(n: int, stubs: Sequence[_StubModes]) -> np.ndarray:
     """One right-hand side per (stub, propagating mode), in stub then mode
-    order: the unit incident wave r^-p, referenced to the base plane p = 0,
-    enters the system only through its radiation-condition defect at the
-    truncation plane."""
+    order: the unit incident wave r^-p, referenced to the base plane p = 0.
+    Its strip value on row 2 is r u_hat(1) + (1/r - r) r^-1, so it enters
+    the system as (1/r - r) r^-1 phi_n on row 1."""
     b = np.zeros((n, sum(s.n_prop for s in stubs)), dtype=complex)
     col = 0
     for s in stubs:
         r = s.ratio[: s.n_prop]
-        amp = -2.0 * (r - 1.0 / r) * r ** -(len(s.ids) - 1)  # the plane is len(ids) - 1 cells out
-        b[s.ids[-1], col : col + s.n_prop] = s.phi[: s.n_prop].T * amp
+        b[s.ids[1], col : col + s.n_prop] = s.phi[: s.n_prop].T * ((1.0 / r - r) / r)
         col += s.n_prop
     return b
 
@@ -300,18 +327,20 @@ def _incidents(n: int, stubs: Sequence[_StubModes]) -> np.ndarray:
 def _extract(u: np.ndarray, stubs: Sequence[_StubModes], h: float) -> np.ndarray:
     """Outgoing amplitudes of every (stub, propagating mode) row for every
     column of u, u's columns solved from _incidents: the field is projected
-    on the extraction plane one channel width from the base plane, the
-    incident wave is removed, and the rest is referenced to the base plane
-    in the continuum phase convention of the channel."""
+    on row 1, the incident wave is removed, the outgoing wave is carried by
+    r^(p_e - 1) to the extraction plane p_e one channel width from the base
+    plane, and referenced from there to the base plane in the continuum
+    phase convention of the channel."""
     blocks = [np.zeros((0, u.shape[1]), dtype=complex)]  # a geometry may have no stubs
     col = 0
     for s in stubs:
         # at least one width inside the truncation (stubs are >= 2 widths
         # long), so lengthening a stub cannot move the measurement
         p_e = s.ids.shape[1] + 1
-        hat = h * (s.phi[: s.n_prop] @ u[s.ids[p_e]])
-        hat[:, col : col + s.n_prop] -= np.diag(s.ratio[: s.n_prop] ** -p_e)
-        blocks.append(hat * np.exp(-1j * s.k_cont * (p_e * h))[:, None])
+        r = s.ratio[: s.n_prop]
+        hat = h * (s.phi[: s.n_prop] @ u[s.ids[1]])
+        hat[:, col : col + s.n_prop] -= np.diag(1.0 / r)
+        blocks.append(hat * (r ** (p_e - 1) * np.exp(-1j * s.k_cont * (p_e * h)))[:, None])
         col += s.n_prop
     return np.concatenate(blocks)
 
@@ -343,7 +372,10 @@ def _scatter(geom: PlanarGeometry, lam: float) -> tuple[np.ndarray, list[_StubMo
     them: one factorization and one multi-right-hand-side triangular solve
     with no refinement step (its residual is already near 1e-14), each
     column finite and within the residual test on its own."""
-    matrix, stubs = _operator(geom, lam)
+    idx, stubs = _lattice(geom, lam)
+    if not any(s.n_prop for s in stubs):  # no rows and no columns: nothing to factor
+        return np.zeros((0, 0), dtype=complex), stubs
+    matrix = _assemble(idx, stubs, geom.h, lam)
     b = _incidents(matrix.shape[0], stubs)
     lu = _factor(matrix, lam)
     u = lu.solve(b)

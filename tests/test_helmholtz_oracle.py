@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
 from fiberwave import helmholtz_oracle
+from fiberwave.cli import graph_from_json
 from fiberwave.cross_section import Interval
 from fiberwave.errors import (
     GeometryInvalid,
@@ -34,7 +37,7 @@ from fiberwave.helmholtz_oracle import (
     solve_network,
 )
 
-from conftest import two_cross_network
+from conftest import load_perfbench, two_cross_network
 
 W = math.pi
 LAM = 2.0
@@ -170,6 +173,15 @@ def test_retained_evanescent_insensitive(monkeypatch):
     assert np.max(np.abs(t16 - t8)) <= 1e-8
 
 
+def test_stubs_are_not_meshed():
+    """Only a stub's base plane and the line past it are unknowns, so a
+    longer stub leaves the operator's size as it is."""
+    short, short_stubs = _operator(cross_geometry(W, 2 * W, math.pi / 32), LAM)
+    long, long_stubs = _operator(cross_geometry(W, 4 * W, math.pi / 32), LAM)
+    assert short.shape == long.shape
+    assert all(s.ids.shape == (2, 31) for s in short_stubs + long_stubs)
+
+
 def test_junction_metadata():
     geom = cross_geometry(W, 2 * W, math.pi / 16)
     js = junction_matrix(geom, LAM)
@@ -196,6 +208,27 @@ def test_junction_matrix_without_propagating_modes():
     assert js.matrix.shape == (0, 0)
     assert js.mode_counts == (0, 0, 0, 0)
     assert js.entries == []
+
+
+def test_no_propagating_modes_is_not_factored(monkeypatch):
+    """With no incident column there is nothing to factor, but every
+    geometry and grid check still runs."""
+
+    def refuse(mat, **kw):
+        raise AssertionError("an operator with no propagating modes was factored")
+
+    monkeypatch.setattr(helmholtz_oracle, "splu", refuse)
+    assert junction_matrix(cross_geometry(W, 2 * W, math.pi / 16), 0.5).matrix.shape == (0, 0)
+    overlap = PlanarGeometry(
+        cores=((0.0, 0.0, W, W), (0.5 * W, 0.0, 1.5 * W, W)),
+        stubs=(Stub(rect=(-2 * W, 0.0, 0.0, W), direction="-x"),),
+        h=math.pi / 16,
+    )
+    with pytest.raises(GeometryInvalid):
+        junction_matrix(overlap, 0.5)
+    # the grid's first mode propagates just below the continuum threshold 1
+    with pytest.raises(GridTooCoarse):
+        junction_matrix(cross_geometry(W, 2 * W, math.pi / 16), 0.998)
 
 
 def test_junction_matrix_columns_match_single_incident_solves():
@@ -235,6 +268,18 @@ def test_geometry_overlap():
         h=math.pi / 16,
     )
     with pytest.raises(GeometryInvalid):
+        junction_matrix(geom, LAM)
+
+
+def test_geometry_stub_side_wall_touched():
+    """A stub's strip past its first line is eliminated as a uniform strip,
+    so no rectangle may touch its side walls there."""
+    geom = PlanarGeometry(
+        cores=((0.0, 0.0, W, W), (-2 * W, W, -W, 2 * W)),
+        stubs=(Stub(rect=(-2 * W, 0.0, 0.0, W), direction="-x"),),
+        h=math.pi / 16,
+    )
+    with pytest.raises(GeometryInvalid, match="side wall"):
         junction_matrix(geom, LAM)
 
 
@@ -416,3 +461,56 @@ def test_network_block_solve_matches_column_solves(monkeypatch):
         column = single_incident_column(geom, LAM, col)
         assert np.max(np.abs(t[:, col] - column)) <= 1e-13
     assert len(factored) == 2 + len(js.entries)
+
+
+# ---------------------------------------------------------------------------
+# exactness of the stub elimination
+
+
+FULL_STUB_MESH = Path(__file__).resolve().parent / "oracle_full_stub_mesh.json"
+
+
+def test_matches_full_stub_mesh():
+    """Eliminating each stub's strip in its discrete modes leaves the finite
+    difference solution as it was when every stub was meshed out to its
+    truncation plane.  The values were recorded at commit a562931, the last
+    full mesh, from the repository root with
+
+        PYTHONPATH=src:tests python3 - <<'EOF'
+        import json, math
+        from conftest import load_perfbench
+        from fiberwave.cli import graph_from_json
+        from fiberwave.helmholtz_oracle import (
+            cross_geometry, duct_geometry, elbow_geometry, junction_matrix, solve_network)
+
+        W = math.pi
+        gen = load_perfbench("gen")
+        out = {}
+        for name, make in (("cross", cross_geometry), ("elbow", elbow_geometry), ("duct", duct_geometry)):
+            for lam in (1.3, 3.4, 6.0):
+                out[f"{name} pi/32 lambda {lam}"] = junction_matrix(make(W, 2 * W, W / 32), lam).matrix
+        out["cross pi/64 lambda 2.0"] = junction_matrix(cross_geometry(W, 2 * W, W / 64), 2.0).matrix
+        for kind in ("two_cross", "elbow_pair", "duct"):
+            g = graph_from_json(gen.oracle_network(kind, W / 32))
+            for eps in (1.0, 0.5, 0.125):
+                out[f"{kind} pi/32 eps {eps}"] = solve_network(g, 2.0, eps)
+        with open("tests/oracle_full_stub_mesh.json", "w") as f:
+            json.dump({k: [[[z.real, z.imag] for z in row] for row in m.tolist()] for k, m in out.items()}, f)
+        EOF
+    """
+    recorded = json.loads(FULL_STUB_MESH.read_text())
+    gen = load_perfbench("gen")
+    computed = {}
+    for name, make in (("cross", cross_geometry), ("elbow", elbow_geometry), ("duct", duct_geometry)):
+        for lam in (1.3, 3.4, 6.0):
+            computed[f"{name} pi/32 lambda {lam}"] = junction_matrix(make(W, 2 * W, W / 32), lam).matrix
+    computed["cross pi/64 lambda 2.0"] = junction_matrix(cross_geometry(W, 2 * W, W / 64), 2.0).matrix
+    for kind in ("two_cross", "elbow_pair", "duct"):
+        g = graph_from_json(gen.oracle_network(kind, W / 32))
+        for eps in (1.0, 0.5, 0.125):
+            computed[f"{kind} pi/32 eps {eps}"] = solve_network(g, 2.0, eps)
+    assert sorted(computed) == sorted(recorded)
+    for key, m in computed.items():
+        ref = np.array(recorded[key], dtype=float)
+        assert m.shape == ref.shape[:2], key
+        assert np.max(np.abs(m - (ref[..., 0] + 1j * ref[..., 1])), initial=0.0) <= 1e-10, key
