@@ -1,8 +1,8 @@
 """2-D finite-difference Helmholtz solver on thin-fiber geometries.
 
 Solves -Laplace(u) = lambda u with Dirichlet walls on a union of
-axis-aligned rectangles (junction cores, channel segments and semi-infinite
-channel stubs truncated at finite length) with the 5-point stencil.  One
+axis-aligned rectangles (junction cores, channel segments and the stubs
+of semi-infinite channels) with the 5-point stencil.  One
 builder lays out the lattice and assembles the operator; each stub comes
 out of it as one complete record: the unknown ids of its two meshed lines,
 and the discrete transverse modes phi_n, mu_n of its cross-section.  Mode
@@ -11,19 +11,15 @@ plane, with r_n + 1/r_n = 2 + h^2 (mu_n - lambda): the root on the unit
 circle, exp(i theta_n), is the outgoing wave of a propagating mode, and the
 root inside it the decaying wave of an evanescent one.
 
-A stub is a uniform strip that the discrete modes solve exactly, so only
-its base plane (p = 0) and the line past it (p = 1) are meshed, and the
-strip beyond enters through each mode's ratio rho_n = u_n(2) / u_n(1).  The
-propagating modes and 8 evanescent ones by default meet the modal
-radiation condition du_n/dt = (r_n - 1/r_n) / (2h) u_n (Keller & Givoli,
-J. Comput. Phys. 82, 1989) at the truncation plane, `cells` out, which
-admits no incoming wave, so rho_n = r_n.  The other modes vanish on the
-line N = cells + 1, so rho_n = r_n (1 - r_n^(2(N-2))) / (1 - r_n^(2(N-1))).
-This is the operator of the stub meshed out to its truncation plane,
-eliminated exactly.  Stub length and the number of retained modes enter
-only through that round trip r_n^(2(N-1)) of the modes past the retained
-ones: with 8 retained it is below rounding for any stub two widths long,
-and with none it moves the cross junction at lambda = 2 by about 4e-9.
+A stub stands for a semi-infinite channel, a uniform strip that the
+discrete modes solve exactly, so only its base plane (p = 0) and the line
+past it (p = 1) are meshed.  Past that line every mode continues as r_n^p
+into the semi-infinite strip, outgoing or decaying with no incoming part:
+the modal radiation condition du_n/dt = (r_n - 1/r_n) / (2h) u_n (Keller &
+Givoli, J. Comput. Phys. 82, 1989) holds for every mode.  So the strip
+enters through each mode's ratio u_n(2) / u_n(1) = r_n, and a stub's length
+does not change the result: its rectangle only marks out the strip that no
+other rectangle may touch.
 
 Junction scattering matrices computed here are the first-principles
 counterpart of the graph model's junction models: one column per incident
@@ -70,16 +66,16 @@ Rect = tuple[float, float, float, float]
 _DIRECTIONS = ("+x", "-x", "+y", "-y")
 
 DEFAULT_NODE_BUDGET = 500_000
-DEFAULT_N_EVANESCENT = 8
 
 
 @dataclass(frozen=True)
 class Stub:
-    """Truncated semi-infinite channel piece.
+    """The stub of a semi-infinite channel.
 
-    `rect` is the full stub rectangle; `direction` points outward, toward
-    the truncation plane.  The opposite face is the attachment (base) plane
-    where amplitudes are referenced.
+    `rect` is the stub rectangle, which no other rectangle may touch past
+    its first line; `direction` points outward, toward its far (truncation)
+    plane.  The opposite face is the attachment (base) plane where
+    amplitudes are referenced.
     """
 
     rect: Rect
@@ -142,11 +138,9 @@ class _StubModes:
     meshed, and column q - 1 is transverse node q = 1..n_t.
     `ratio` holds every mode's per-cell ratio r_n of the discrete wave
     r_n^p, with |r_n| = 1 (outgoing) for the n_prop propagating modes and
-    |r_n| < 1 (decaying) for the others.  `closure` holds each mode's
-    u_n(2) / u_n(1) in the eliminated strip past row 1: r_n for the
-    retained modes, whose radiation condition at the truncation plane
-    admits no incoming wave, and r_n (1 - r_n^(2(N-2))) / (1 - r_n^(2(N-1)))
-    for the others, which vanish on the line N = cells + 1 past the plane.
+    |r_n| < 1 (decaying) for the others.  Every mode continues as r_n^p
+    into the semi-infinite strip past row 1, so r_n is also its
+    u_n(2) / u_n(1) there.
     """
 
     ids: np.ndarray
@@ -154,14 +148,12 @@ class _StubModes:
     mu: np.ndarray  # their discrete eigenvalues, ascending
     n_prop: int
     ratio: np.ndarray
-    closure: np.ndarray
     k_cont: np.ndarray  # continuum wavenumbers sqrt(lam - lambda_n) (propagating)
 
 
-def _modes(si: int, n_t: int, cells: int, h: float, lam: float) -> tuple:
-    """The modal fields of stub si's _StubModes, n_t transverse nodes wide
-    and `cells` cells long, once the grid is known to resolve its
-    propagating modes."""
+def _modes(si: int, n_t: int, h: float, lam: float) -> tuple:
+    """The modal fields of stub si's _StubModes, n_t transverse nodes wide,
+    once the grid is known to resolve its propagating modes."""
     if n_t < 1:
         raise GeometryInvalid(f"stub {si} is only one cell wide")
     width_cells = n_t + 1
@@ -179,14 +171,8 @@ def _modes(si: int, n_t: int, cells: int, h: float, lam: float) -> tuple:
     # z < 1 and inside it for z > 1
     z = 1.0 + h * h * (mu - lam) / 2.0
     ratio = z + 1j * np.sqrt(1.0 - z * z + 0j)
-    # modes past the retained ones are evanescent, 0 < r < 1, so the powers
-    # cannot overflow and the strip has no resonance
-    n_retained = min(n_prop + DEFAULT_N_EVANESCENT, n_t)
-    closure = ratio.copy()
-    r = ratio[n_retained:]
-    closure[n_retained:] = r * (1.0 - r ** (2 * (cells - 1))) / (1.0 - r ** (2 * cells))
     k_cont = np.sqrt(lam - np.asarray(ths, dtype=float))
-    return phi, mu, n_prop, ratio, closure, k_cont
+    return phi, mu, n_prop, ratio, k_cont
 
 
 def _lattice(geom: PlanarGeometry, lam: float) -> tuple[np.ndarray, list[_StubModes]]:
@@ -194,9 +180,9 @@ def _lattice(geom: PlanarGeometry, lam: float) -> tuple[np.ndarray, list[_StubMo
     -1, and its stubs' records in geometry order.  The full lattice is laid
     out and checked, truncation planes included; then each stub's strip
     past its row 1 is dropped, and the unknowns are the remaining interior
-    nodes (all four adjacent cells covered), row-major.  The strip is
-    eliminated exactly only if its side walls are walls, so a rectangle
-    touching them past row 1 is rejected."""
+    nodes (all four adjacent cells covered), row-major.  The strip is the
+    uniform semi-infinite strip of its modes only if its side walls are
+    walls, so a rectangle touching them past row 1 is rejected."""
     h = geom.h
     if not (h > 0 and math.isfinite(h)):
         raise GeometryInvalid(f"grid spacing must be positive and finite, got {h!r}")
@@ -236,13 +222,12 @@ def _lattice(geom: PlanarGeometry, lam: float) -> tuple[np.ndarray, list[_StubMo
         block = idx[x0 : x1 + 1, y0 : y1 + 1]
         block = block if s.direction[1] == "x" else block.T
         walled.append(block if s.direction[0] == "+" else block[::-1])
-    modes = [_modes(si, w.shape[1] - 2, w.shape[0] - 1, h, lam) for si, w in enumerate(walled)]
+    modes = [_modes(si, w.shape[1] - 2, h, lam) for si, w in enumerate(walled)]
     idx[interior] = 0  # numbered once the strips are dropped
     for w in walled:
         if np.any(w[-1, 1:-1] >= 0):  # an interior node, or another stub's plane
             raise GeometryInvalid("truncation plane is blocked by another rectangle or stub")
-        w[-1, 1:-1] = 0
-    past_base = [bool(np.all(w[1:, 1:-1] >= 0)) for w in walled]
+        w[-1, 1:-1] = 0  # a plane that meets another stub's side wall touches it
     touched = [bool(np.any(w[2:, [0, -1]] >= 0)) for w in walled]
     for w in walled:
         w[2:, 1:-1] = -1
@@ -254,8 +239,6 @@ def _lattice(geom: PlanarGeometry, lam: float) -> tuple[np.ndarray, list[_StubMo
         raise GeometryInvalid("no interior nodes; geometry too thin for this h")
     stubs = []
     for si, (w, m) in enumerate(zip(walled, modes)):
-        if not past_base[si]:
-            raise GeometryInvalid(f"stub {si}: a cross-section past its base plane is not interior")
         if touched[si]:
             raise GeometryInvalid(f"stub {si}: a side wall past its first line touches another rectangle")
         stubs.append(_StubModes(w[:2, 1:-1], *m))
@@ -271,9 +254,9 @@ def _operator(geom: PlanarGeometry, lam: float) -> tuple[sp.csc_matrix, list[_St
 
 
 def _assemble(idx: np.ndarray, stubs: Sequence[_StubModes], h: float, lam: float) -> sp.csc_matrix:
-    """The operator on _lattice's unknowns.  The strip past a stub's row 1
-    enters as its value on row 2, phi^T diag(closure) u_hat(1) with
-    u_hat = h phi u, so row 1 gets the one block -h phi^T diag(closure) phi.
+    """The operator on _lattice's unknowns.  The semi-infinite strip past a
+    stub's row 1 enters as its value on row 2, phi^T diag(r) u_hat(1) with
+    u_hat = h phi u, so row 1 gets the one block -h phi^T diag(r) phi.
     The lattice's covering masks are freed before the assembly allocates
     its COO pieces."""
     all_ids = idx[idx >= 0]
@@ -291,7 +274,7 @@ def _assemble(idx: np.ndarray, stubs: Sequence[_StubModes], h: float, lam: float
         line = s.ids[1]
         rows.append(np.repeat(line, len(line)))
         cols.append(np.tile(line, len(line)))
-        vals.append((-h * (s.phi.T @ (s.closure[:, None] * s.phi))).ravel())
+        vals.append((-h * (s.phi.T @ (s.ratio[:, None] * s.phi))).ravel())
     mat = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
     return mat.tocsc()
 
@@ -334,8 +317,8 @@ def _extract(u: np.ndarray, stubs: Sequence[_StubModes], h: float) -> np.ndarray
     blocks = [np.zeros((0, u.shape[1]), dtype=complex)]  # a geometry may have no stubs
     col = 0
     for s in stubs:
-        # at least one width inside the truncation (stubs are >= 2 widths
-        # long), so lengthening a stub cannot move the measurement
+        # one channel width out, n_t + 1 cells; the strip there is the
+        # modal continuation of row 1, so no line of it is meshed
         p_e = s.ids.shape[1] + 1
         r = s.ratio[: s.n_prop]
         hat = h * (s.phi[: s.n_prop] @ u[s.ids[1]])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,19 @@ def test_duct_richardson_extrapolation_rate():
     rich = ts[128] + (ts[128] - ts[64]) / 3.0
     e1, e2 = abs(ts[32] - rich), abs(ts[64] - rich)
     assert 3.0 <= e1 / e2 <= 5.0
+
+
+@pytest.mark.parametrize("denom", [16, 32, 64])
+def test_straight_duct_reflects_nothing(denom):
+    """A duct is one uniform strip, which every mode's closure continues
+    exactly: nothing reflects, and each mode passes at unit modulus
+    (lambda = 6 carries two modes)."""
+    for lam in (1.3, 2.0, 3.4, 6.0):
+        js = junction_matrix(duct_geometry(W, 2 * W, math.pi / denom), lam)
+        n = js.mode_counts[0]
+        t = js.matrix
+        assert max(np.max(np.abs(t[:n, :n])), np.max(np.abs(t[n:, n:]))) <= 1e-12, lam
+        assert np.max(np.abs(np.abs(t[n:, :n]) - np.eye(n))) <= 1e-12, lam
 
 
 def single_incident_column(geom: PlanarGeometry, lam: float, col: int) -> np.ndarray:
@@ -162,24 +176,18 @@ def test_equal_width_junction_unitary_tight():
 def test_evanescent_margin_insensitive():
     t1 = junction_matrix(cross_geometry(W, 2 * W, math.pi / 32), LAM).matrix
     t2 = junction_matrix(cross_geometry(W, 4 * W, math.pi / 32), LAM).matrix
-    assert np.max(np.abs(t2 - t1)) <= 1e-6
-
-
-def test_retained_evanescent_insensitive(monkeypatch):
-    assert helmholtz_oracle.DEFAULT_N_EVANESCENT == 8
-    t8 = junction_matrix(cross_geometry(W, 2 * W, math.pi / 32), LAM).matrix
-    monkeypatch.setattr(helmholtz_oracle, "DEFAULT_N_EVANESCENT", 16)
-    t16 = junction_matrix(cross_geometry(W, 2 * W, math.pi / 32), LAM).matrix
-    assert np.max(np.abs(t16 - t8)) <= 1e-8
+    assert np.array_equal(t2, t1)
 
 
 def test_stubs_are_not_meshed():
-    """Only a stub's base plane and the line past it are unknowns, so a
-    longer stub leaves the operator's size as it is."""
+    """Only a stub's base plane and the line past it are unknowns, and the
+    strip beyond is semi-infinite, so a longer stub leaves the operator as
+    it is, entry for entry."""
     short, short_stubs = _operator(cross_geometry(W, 2 * W, math.pi / 32), LAM)
     long, long_stubs = _operator(cross_geometry(W, 4 * W, math.pi / 32), LAM)
     assert short.shape == long.shape
     assert all(s.ids.shape == (2, 31) for s in short_stubs + long_stubs)
+    assert (short != long).nnz == 0
 
 
 def test_junction_metadata():
@@ -281,6 +289,46 @@ def test_geometry_stub_side_wall_touched():
     )
     with pytest.raises(GeometryInvalid, match="side wall"):
         junction_matrix(geom, LAM)
+
+
+H16 = math.pi / 16
+_SIDE_X = Stub(rect=(-2 * W, 0.0, 0.0, W), direction="-x")
+# its truncation plane y = W ends on the corner (-2W, W) of _SIDE_X's side
+# wall, so it refuses only because truncation planes are marked before the
+# side walls are checked
+_SIDE_Y = Stub(rect=(-3 * W + H16, W, -2 * W + H16, 3 * W), direction="-y")
+
+
+@pytest.mark.parametrize(
+    "geom, lam, exc, fragment",
+    [
+        (cross_geometry(W, 2 * W, math.inf), LAM, GeometryInvalid, "positive and finite"),
+        (cross_geometry(W, 2 * W, H16), math.nan, ValueError, "lambda must be finite"),
+        (duct_geometry(10.0, 20.0, 1.0), LAM, GridTooCoarse, "points per wavelength"),
+        (PlanarGeometry(((0.0, 0.0, 0.0, W),), (), H16), LAM, GeometryInvalid, "degenerate rectangle"),
+        (PlanarGeometry((), (Stub((-2 * W, 0.0, 0.0, W), "x-"),), H16), LAM, GeometryInvalid,
+         "unknown stub direction"),
+        (PlanarGeometry((), (), H16), LAM, GeometryInvalid, "no rectangles"),
+        (PlanarGeometry((), (Stub((-2 * H16, 0.0, 0.0, H16), "-x"),), H16), LAM, GeometryInvalid,
+         "only one cell wide"),
+        (duct_geometry(W, 2 * W, H16), 0.998, GridTooCoarse, "discrete grid sees"),
+        (PlanarGeometry(((-3 * W, 0.0, -2 * W, W),), (_SIDE_X,), H16), LAM, GeometryInvalid,
+         "truncation plane is blocked"),
+        (PlanarGeometry(((0.0, 0.0, H16, H16),), (), H16), LAM, GeometryInvalid, "no interior nodes"),
+        (PlanarGeometry(((0.0, 0.0, W, W),), (_SIDE_X, _SIDE_Y), H16), LAM, GeometryInvalid,
+         "side wall past its first line"),
+        (PlanarGeometry(((0.0, 0.0, W, W),), (_SIDE_Y, _SIDE_X), H16), LAM, GeometryInvalid,
+         "side wall past its first line"),
+    ],
+    ids=["h-inf", "lambda-nan", "points-per-wavelength", "degenerate", "direction", "empty",
+         "one-cell-wide", "discrete-threshold", "truncation-blocked", "no-interior",
+         "corner-x-first", "corner-y-first"],
+)
+def test_lattice_refusals(geom, lam, exc, fragment):
+    """Every refusal of the lattice builder keeps its type and message."""
+    with pytest.raises(exc, match=re.escape(fragment)) as info:
+        junction_matrix(geom, lam)
+    assert type(info.value) is exc
 
 
 def test_grid_too_coarse():
