@@ -54,12 +54,13 @@ from . import cross_section as cs
 from .errors import (
     DimensionMismatch,
     GeometryInvalid,
+    GraphInvalid,
     GridBudgetExceeded,
     GridTooCoarse,
     NonConvergedSolve,
     UnresolvableJunction,
 )
-from .graph_model import END, START, MetricGraph, OracleJunction
+from .graph_model import END, START, MetricGraph, OracleJunction, Vertex, validate_graph
 
 Rect = tuple[float, float, float, float]
 
@@ -73,9 +74,11 @@ class Stub:
     """The stub of a semi-infinite channel.
 
     `rect` is the stub rectangle, which no other rectangle may touch past
-    its first line; `direction` points outward, toward its far (truncation)
-    plane.  The opposite face is the attachment (base) plane where
-    amplitudes are referenced.
+    its first line.  It may be any whole number of cells long: the stub is
+    solved as the uniform semi-infinite strip it stands for, so its length
+    does not change the result.  `direction` points outward, toward its far
+    (truncation) plane; the opposite face is the attachment (base) plane
+    where amplitudes are referenced.
     """
 
     rect: Rect
@@ -85,11 +88,6 @@ class Stub:
     def width(self) -> float:
         x0, y0, x1, y1 = self.rect
         return (y1 - y0) if self.direction in ("+x", "-x") else (x1 - x0)
-
-    @property
-    def length(self) -> float:
-        x0, y0, x1, y1 = self.rect
-        return (x1 - x0) if self.direction in ("+x", "-x") else (y1 - y0)
 
 
 @dataclass(frozen=True)
@@ -197,10 +195,6 @@ def _lattice(geom: PlanarGeometry, lam: float) -> tuple[np.ndarray, list[_StubMo
     for s in geom.stubs:
         if s.direction not in _DIRECTIONS:
             raise GeometryInvalid(f"unknown stub direction {s.direction!r}")
-        if s.length < 2.0 * s.width - 1e-12:
-            raise GeometryInvalid(
-                f"stub length {s.length!r} must be at least twice the width {s.width!r}"
-            )
         rects.append(_rect_to_lattice(s.rect, h))
     if not rects:
         raise GeometryInvalid("geometry has no rectangles")
@@ -390,31 +384,20 @@ def flux_residual(js: JunctionScattering) -> np.ndarray:
     return js.d_diag @ np.abs(js.matrix) ** 2 - js.d_diag
 
 
-def _opposite(direction: str) -> str:
-    return {"+x": "-x", "-x": "+x", "+y": "-y", "-y": "+y"}[direction]
-
-
-def _base_plane(s: Stub) -> float:
-    """Axial coordinate of the attachment plane in stub-local terms."""
-    x0, y0, x1, y1 = s.rect
-    return {"+x": x0, "-x": x1, "+y": y0, "-y": y1}[s.direction]
-
-
-def _transverse_range(s: Stub) -> tuple[float, float]:
-    x0, y0, x1, y1 = s.rect
-    return (y0, y1) if s.direction in ("+x", "-x") else (x0, x1)
-
-
 def network_geometry(g: MetricGraph, eps: float) -> PlanarGeometry:
-    """Lay out the rescaled planar network defined by a graph whose vertices
-    all carry oracle junction geometries.
+    """Lay out the rescaled planar network defined by a valid graph whose
+    vertices all carry oracle junction geometries.
 
-    Vertices are placed by walking the finite channels: a finite channel of
-    length l becomes a straight rectangle of length l/eps joining the
-    attachment planes of the two stubs that serve its ends, which must point
-    toward each other.  Infinite channels keep their stub (with its
-    truncation plane); the stubs follow g.infinite_channel_ids.
+    Vertices are placed by walking the finite ends of each placed vertex: a
+    finite channel of length l becomes a straight rectangle of length l/eps
+    joining the attachment planes of the two stubs that serve its ends,
+    which must face each other with equal widths, and a channel that reaches
+    a placed vertex must meet it.  Infinite channels keep their stub; the
+    stubs follow g.infinite_channel_ids.
     """
+    violations = validate_graph(g)
+    if violations:
+        raise GraphInvalid(violations)
     vgeoms: dict[int, PlanarGeometry] = {}
     h: Optional[float] = None
     for v in g.vertices:
@@ -434,77 +417,52 @@ def network_geometry(g: MetricGraph, eps: float) -> PlanarGeometry:
         vgeoms[v.id] = pg
     assert h is not None
 
-    stub_of_end: dict[tuple[int, str], tuple[int, int]] = {}
-    for v in g.vertices:
-        for i, (cid, which) in enumerate(v.ends):
-            stub_of_end[(cid, which)] = (v.id, i)
-
+    owner = {end: (v, i) for v in g.vertices for i, end in enumerate(v.ends)}
+    link_length = {c.id: c.length / eps for c in g.channels if not c.is_infinite}
     pos: dict[int, tuple[float, float]] = {g.vertices[0].id: (0.0, 0.0)}
-    todo = [g.vertices[0].id]
-    finite = [c for c in g.channels if not c.is_infinite]
-    placed_channels: set[int] = set()
+    todo = [g.vertices[0]]
     channel_rects: list[Rect] = []
 
-    def stub_global(vid: int, i: int) -> Stub:
-        dx, dy = pos[vid]
-        s = vgeoms[vid].stubs[i]
+    def stub_global(v: Vertex, i: int) -> Stub:
+        dx, dy = pos[v.id]
+        s = vgeoms[v.id].stubs[i]
         x0, y0, x1, y1 = s.rect
         return Stub(rect=(x0 + dx, y0 + dy, x1 + dx, y1 + dy), direction=s.direction)
 
     while todo:
-        vid = todo.pop()
-        for chan in finite:
-            if chan.id in placed_channels:
+        va = todo.pop()
+        for ia, (cid, which) in enumerate(va.ends):
+            if cid not in link_length:
                 continue
-            ends = [(chan.id, START), (chan.id, END)]
-            owners = [stub_of_end[e] for e in ends]
-            if owners[0][0] != vid and owners[1][0] != vid:
-                continue
-            if owners[0][0] == vid:
-                (va, ia), (vb, ib) = owners
-            else:
-                (vb, ib), (va, ia) = owners
-            length = chan.length / eps
-            sa = stub_global(va, ia)
-            sb_local = vgeoms[vb].stubs[ib]
-            if sb_local.direction != _opposite(sa.direction):
+            vb, ib = owner[(cid, END if which == START else START)]
+            sa, sb = stub_global(va, ia), vgeoms[vb.id].stubs[ib]
+            if {sa.direction, sb.direction} not in ({"+x", "-x"}, {"+y", "-y"}):
                 raise GeometryInvalid(
-                    f"channel {chan.id}: stub directions {sa.direction} and "
-                    f"{sb_local.direction} do not face each other"
+                    f"channel {cid}: stub directions {sa.direction} and "
+                    f"{sb.direction} do not face each other"
                 )
-            ta = _transverse_range(sa)
-            tb = _transverse_range(sb_local)
-            if abs((ta[1] - ta[0]) - (tb[1] - tb[0])) > 1e-9:
-                raise GeometryInvalid(f"channel {chan.id}: stub widths differ")
-            base_a = _base_plane(sa)
-            sign = +1.0 if sa.direction in ("+x", "+y") else -1.0
-            far_plane = base_a + sign * length
-            base_b_local = _base_plane(sb_local)
-            if sa.direction in ("+x", "-x"):
-                dxb = far_plane - base_b_local
-                dyb = ta[0] - tb[0]
-                lo, hi = sorted((base_a, far_plane))
-                channel_rects.append((lo, ta[0], hi, ta[1]))
-            else:
-                dyb = far_plane - base_b_local
-                dxb = ta[0] - tb[0]
-                lo, hi = sorted((base_a, far_plane))
-                channel_rects.append((ta[0], lo, ta[1], hi))
-            if vb in pos:
-                ex, ey = pos[vb]
-                if abs(ex - dxb) > 1e-9 or abs(ey - dyb) > 1e-9:
-                    raise GeometryInvalid(
-                        f"channel {chan.id}: network cycle does not close geometrically"
-                    )
-            else:
-                pos[vb] = (dxb, dyb)
+            if abs(sa.width - sb.width) > 1e-9:
+                raise GeometryInvalid(f"channel {cid}: stub widths differ")
+            # the link runs along axis a (0 for x, 1 for y) away from sa's
+            # base plane rect[a + k]; sb's base plane faces it at rect[a + 2 - k]
+            a = "xy".index(sa.direction[1])
+            k, sign = (0, 1.0) if sa.direction[0] == "+" else (2, -1.0)
+            far = sa.rect[a + k] + sign * link_length[cid]
+            offset = [0.0, 0.0]
+            offset[a] = far - sb.rect[a + 2 - k]
+            offset[1 - a] = sa.rect[1 - a] - sb.rect[1 - a]
+            if vb.id not in pos:
+                pos[vb.id] = tuple(offset)
                 todo.append(vb)
-            placed_channels.add(chan.id)
+            elif any(abs(p - q) > 1e-9 for p, q in zip(pos[vb.id], offset)):
+                raise GeometryInvalid(f"channel {cid}: network cycle does not close geometrically")
+            if which == START:
+                rect = list(sa.rect)
+                rect[a], rect[a + 2] = sorted((sa.rect[a + k], far))
+                channel_rects.append(tuple(rect))
 
     if len(pos) != len(g.vertices):
         raise GeometryInvalid("network geometry is disconnected through finite channels")
-    if len(placed_channels) != len(finite):
-        raise GeometryInvalid("some finite channels could not be placed")
 
     cores: list[Rect] = []
     for v in g.vertices:
@@ -513,7 +471,7 @@ def network_geometry(g: MetricGraph, eps: float) -> PlanarGeometry:
             cores.append((x0 + dx, y0 + dy, x1 + dx, y1 + dy))
     cores.extend(channel_rects)
 
-    stubs = tuple(stub_global(*stub_of_end[(cid, START)]) for cid in g.infinite_channel_ids)
+    stubs = tuple(stub_global(*owner[(cid, START)]) for cid in g.infinite_channel_ids)
     return PlanarGeometry(cores=tuple(cores), stubs=stubs, h=h)
 
 

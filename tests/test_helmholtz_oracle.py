@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -15,12 +16,15 @@ from fiberwave import helmholtz_oracle
 from fiberwave.cli import graph_from_json
 from fiberwave.cross_section import Interval
 from fiberwave.errors import (
+    DimensionMismatch,
     GeometryInvalid,
+    GraphInvalid,
     GridBudgetExceeded,
     GridTooCoarse,
     NonConvergedSolve,
+    UnresolvableJunction,
 )
-from fiberwave.graph_model import Channel, MetricGraph, OracleJunction, Vertex
+from fiberwave.graph_model import Channel, Dirichlet, MetricGraph, OracleJunction, Vertex
 from fiberwave.graph_solver import SolveRequest, solve_scattering
 from fiberwave.helmholtz_oracle import (
     PlanarGeometry,
@@ -174,9 +178,13 @@ def test_equal_width_junction_unitary_tight():
 
 
 def test_evanescent_margin_insensitive():
-    t1 = junction_matrix(cross_geometry(W, 2 * W, math.pi / 32), LAM).matrix
-    t2 = junction_matrix(cross_geometry(W, 4 * W, math.pi / 32), LAM).matrix
-    assert np.array_equal(t2, t1)
+    """A stub of any whole number of cells, one cell or shorter than its
+    width included, leaves the junction matrix as it is."""
+    h = math.pi / 32
+    t1 = junction_matrix(cross_geometry(W, 2 * W, h), LAM).matrix
+    for length in (h, W / 2, 4 * W, 5 * W):
+        t2 = junction_matrix(cross_geometry(W, length, h), LAM).matrix
+        assert np.array_equal(t2, t1), length
 
 
 def test_stubs_are_not_meshed():
@@ -254,19 +262,6 @@ def test_junction_matrix_columns_match_single_incident_solves():
 def test_geometry_misaligned():
     with pytest.raises(GeometryInvalid):
         junction_matrix(duct_geometry(1.0, 2.37, 0.1), LAM)
-
-
-def test_geometry_short_stub():
-    geom = PlanarGeometry(
-        cores=(),
-        stubs=(
-            Stub(rect=(-1.0, 0.0, 0.0, W), direction="-x"),
-            Stub(rect=(0.0, 0.0, 2 * W, W), direction="+x"),
-        ),
-        h=math.pi / 16,
-    )
-    with pytest.raises(GeometryInvalid):
-        junction_matrix(geom, LAM)
 
 
 def test_geometry_overlap():
@@ -386,18 +381,44 @@ def test_oracle_factor_fill_below_default_ordering():
 # full-network solves
 
 
-def duct_network(length: float, h: float) -> MetricGraph:
-    geom = duct_geometry(W, 2 * W, h)
+def two_vertex_network(a, b, length: float = math.pi) -> MetricGraph:
+    """Vertex 1 (lead 1, then link 2's start) and vertex 2 (link 2's end,
+    then lead 3) with junction models a and b, all of width pi."""
+    shape = Interval(W)
     return MetricGraph(
         channels=(
-            Channel(1, math.inf, Interval(W), 1, None),
-            Channel(2, length, Interval(W), 1, 2),
-            Channel(3, math.inf, Interval(W), 2, None),
+            Channel(1, math.inf, shape, 1, None),
+            Channel(2, length, shape, 1, 2),
+            Channel(3, math.inf, shape, 2, None),
         ),
-        vertices=(
-            Vertex(1, ((1, "start"), (2, "start")), OracleJunction(geom)),
-            Vertex(2, ((2, "end"), (3, "start")), OracleJunction(geom)),
-        ),
+        vertices=(Vertex(1, ((1, "start"), (2, "start")), a), Vertex(2, ((2, "end"), (3, "start")), b)),
+    )
+
+
+def duct_network(length: float, h: float) -> MetricGraph:
+    geom = OracleJunction(duct_geometry(W, 2 * W, h))
+    return two_vertex_network(geom, geom, length)
+
+
+def ring_network(links: Sequence[float], h: float) -> MetricGraph:
+    """Four cross junctions on the corners of a square joined by links 1-4
+    of the given lengths (1: vertex 1 to 2 along +x, 2: 2 to 3 along +y,
+    3: 4 to 3 along +x, 4: 1 to 4 along +y), with two leads on each vertex
+    (channels 5-12)."""
+    shape = Interval(W)
+    geom = OracleJunction(cross_geometry(W, 2 * W, h))
+    ends = (  # in the cross's stub order -x, +x, -y, +y
+        ((5, "start"), (1, "start"), (6, "start"), (4, "start")),
+        ((1, "end"), (7, "start"), (8, "start"), (2, "start")),
+        ((3, "end"), (9, "start"), (2, "end"), (10, "start")),
+        ((11, "start"), (3, "start"), (4, "end"), (12, "start")),
+    )
+    link_ends = ((1, 2), (2, 3), (4, 3), (1, 4))
+    channels = [Channel(c, length, shape, *ab) for c, (length, ab) in enumerate(zip(links, link_ends), start=1)]
+    channels += [Channel(c, math.inf, shape, (c - 3) // 2, None) for c in range(5, 13)]
+    return MetricGraph(
+        channels=tuple(channels),
+        vertices=tuple(Vertex(v, e, geom) for v, e in enumerate(ends, start=1)),
     )
 
 
@@ -433,17 +454,7 @@ def elbow_pair_network(length: float, h: float) -> MetricGraph:
         ),
         h=h,
     )
-    return MetricGraph(
-        channels=(
-            Channel(1, math.inf, Interval(W), 1, None),
-            Channel(2, length, Interval(W), 1, 2),
-            Channel(3, math.inf, Interval(W), 2, None),
-        ),
-        vertices=(
-            Vertex(1, ((1, "start"), (2, "start")), OracleJunction(up)),
-            Vertex(2, ((2, "end"), (3, "start")), OracleJunction(down)),
-        ),
-    )
+    return two_vertex_network(OracleJunction(up), OracleJunction(down), length)
 
 
 def test_network_elbow_pair_error_non_increasing_in_eps():
@@ -465,23 +476,62 @@ def test_network_elbow_pair_error_non_increasing_in_eps():
     assert errs[0.5] >= errs[0.25] - floor
 
 
-def test_network_cycle_mismatch_rejected():
-    # two elbows whose stub directions cannot face each other
-    h = math.pi / 16
-    up = elbow_geometry(W, 2 * W, h)
-    g = MetricGraph(
-        channels=(
-            Channel(1, math.inf, Interval(W), 1, None),
-            Channel(2, math.pi, Interval(W), 1, 2),
-            Channel(3, math.inf, Interval(W), 2, None),
-        ),
-        vertices=(
-            Vertex(1, ((1, "start"), (2, "start")), OracleJunction(up)),
-            Vertex(2, ((2, "end"), (3, "start")), OracleJunction(up)),
-        ),
-    )
-    with pytest.raises(GeometryInvalid):
+_DUCT16 = OracleJunction(duct_geometry(W, 2 * W, H16))
+_LEAD16 = OracleJunction(PlanarGeometry(((0.0, 0.0, W, W),), (Stub((-2 * W, 0.0, 0.0, W), "-x"),), H16))
+
+
+@pytest.mark.parametrize(
+    "g, exc, fragment",
+    [
+        (two_vertex_network(_DUCT16, Dirichlet()), UnresolvableJunction, "vertex 2 has no oracle geometry"),
+        (two_vertex_network(_DUCT16, OracleJunction("duct")), GeometryInvalid, "not a PlanarGeometry"),
+        (two_vertex_network(OracleJunction(cross_geometry(W, 2 * W, H16)), _DUCT16), DimensionMismatch,
+         "4 stubs serve 2 incident ends"),
+        (two_vertex_network(_DUCT16, OracleJunction(duct_geometry(W, 2 * W, H16 / 2))), GeometryInvalid,
+         "same grid spacing"),
+        (two_vertex_network(*[OracleJunction(elbow_geometry(W, 2 * W, H16))] * 2), GeometryInvalid,
+         "channel 2: stub directions +y and -x do not face each other"),
+        (two_vertex_network(_DUCT16, OracleJunction(duct_geometry(W / 2, 2 * W, H16))), GeometryInvalid,
+         "channel 2: stub widths differ"),
+        (ring_network((math.pi / 2,) * 3 + (math.pi,), H16), GeometryInvalid,
+         "network cycle does not close geometrically"),
+        (MetricGraph(
+            (Channel(1, math.inf, Interval(W), 1, None), Channel(2, math.inf, Interval(W), 2, None)),
+            (Vertex(1, ((1, "start"),), _LEAD16), Vertex(2, ((2, "start"),), _LEAD16)),
+        ), GeometryInvalid, "disconnected through finite channels"),
+    ],
+    ids=["dirichlet", "not-planar", "stub-count", "mixed-h", "not-facing", "widths", "unclosed-ring",
+         "disconnected"],
+)
+def test_network_geometry_refusals(g, exc, fragment):
+    """Every refusal of the network layout keeps its type and message."""
+    with pytest.raises(exc, match=re.escape(fragment)) as info:
         network_geometry(g, 1.0)
+    assert type(info.value) is exc
+
+
+def test_network_invalid_graph_is_typed():
+    """A finite channel whose end no vertex owns is a GraphInvalid, as in
+    the graph solve, not a failed lookup in the layout."""
+    g = two_vertex_network(_DUCT16, _LEAD16)
+    g = MetricGraph(g.channels, (g.vertices[0], Vertex(2, ((3, "start"),), _LEAD16)))
+    with pytest.raises(GraphInvalid) as info:
+        solve_network(g, LAM, 1.0)
+    assert [v.code for v in info.value.violations] == ["dangling_end"]
+
+
+def test_network_ring_closes():
+    """Four crosses in a ring: every link closes the cycle it lies on, and
+    the thin ring approaches the graph as eps shrinks."""
+    g = ring_network((math.pi / 2,) * 4, H16)
+    geom = network_geometry(g, 1.0)
+    assert len(geom.cores) == 8 and len(geom.stubs) == 8  # 4 cores and 4 links
+    worst = {}
+    for eps in (1.0, 0.5):
+        ns = solve_scattering(g, SolveRequest(LAM, eps))
+        worst[eps] = float(np.max(np.abs(ns.t - solve_network(g, LAM, eps))))
+    assert worst[1.0] == pytest.approx(2.46e-2, abs=5e-5)
+    assert worst[0.5] == pytest.approx(3.43e-3, abs=5e-6)
 
 
 def test_network_block_solve_matches_column_solves(monkeypatch):
