@@ -24,7 +24,6 @@ from .graph_model import (
     validate_graph,
 )
 from .graph_solver import (
-    EdgeWaveField,
     NetworkScattering,
     SolveRequest,
     assemble_system,
@@ -33,14 +32,13 @@ from .graph_solver import (
     resolve_vertex,
     solve_batch,
     solve_scattering,
-    wave_fields,
+    vertex_traces,
 )
 
 __all__ = [
     "Channel",
     "Dirichlet",
     "Disk",
-    "EdgeWaveField",
     "GlobalModeOrdering",
     "Interval",
     "MatrixJunction",
@@ -60,7 +58,7 @@ __all__ = [
     "solve_batch",
     "solve_scattering",
     "validate_graph",
-    "wave_fields",
+    "vertex_traces",
 ]
 
 __version__ = "0.1.0"

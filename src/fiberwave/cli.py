@@ -48,12 +48,12 @@ from .graph_model import (
 from .graph_solver import (
     RCOND_TOL,
     SolveRequest,
-    boundary_value_matrices,
+    VertexScatteringResolved,
     energy_report,
     gc_residual,
     resolve_vertex,
     solve_scattering,
-    wave_fields,
+    vertex_traces,
 )
 from .helmholtz_oracle import PlanarGeometry, Stub, junction_matrix, solve_network
 from .spectrum_tools import export_spectrum, sweep
@@ -331,20 +331,24 @@ def _cmd_network_validate(args) -> int:
     return EXIT_OK if not skipped or args.allow_flagged else EXIT_NUMERIC
 
 
-def _spider_errors(g: MetricGraph, v, lam: float, eps: float) -> tuple[float, float]:
-    """Solve the single-vertex problem with this vertex's resolved matrix and
-    compare the boundary-value matrices with I + T and (i/eps) D (T - I)."""
-    t_v = resolve_vertex(g, v, lam).t_matrix
+def _spider_errors(
+    g: MetricGraph, v: Vertex, res: VertexScatteringResolved, lam: float, eps: float
+) -> tuple[float, float]:
+    """Solve the single-vertex problem with the vertex's resolved matrix and
+    compare its traces S0, S1 with I + T and (i/eps) D (T - I).
+
+    The spider's channels are numbered in the vertex's end order, so its
+    mode ordering, which orders the columns of the traces, is the vertex's
+    local order, and T and D compare as they are."""
+    if not res.dim:
+        return 0.0, 0.0
     ids = range(1, len(v.ends) + 1)
     spider = MetricGraph(
         channels=tuple(Channel(i, math.inf, g.channel(cid).cross_section, 1, None) for i, (cid, _) in zip(ids, v.ends)),
-        vertices=(Vertex(1, tuple((i, "start") for i in ids), MatrixJunction(lam, t_v)),),
+        vertices=(Vertex(1, tuple((i, "start") for i in ids), MatrixJunction(lam, res.t_matrix)),),
     )
     ns = solve_scattering(spider, SolveRequest(lam=lam, eps=eps), allow_flagged=True)
-    res = resolve_vertex(spider, spider.vertices[0], lam)
-    if not res.dim:
-        return 0.0, 0.0
-    s0, s1 = boundary_value_matrices(wave_fields(ns), res, spider)
+    s0, s1 = vertex_traces(ns, resolve_vertex(spider, spider.vertices[0], lam), spider)
     i_v, t_v = np.eye(res.dim), res.t_matrix
     e0 = float(np.max(np.abs(s0 - (i_v + t_v))))
     e1 = float(np.max(np.abs(s1 - (1j / eps) * res.d_diag[:, None] * (t_v - i_v))))
@@ -359,14 +363,11 @@ def _cmd_check(args) -> int:
     a = ns.weighted()
     eye = np.eye(ns.ordering.M)
     er = energy_report(ns)
-    resolved = {v.id: resolve_vertex(g, v, args.lam) for v in g.vertices}
-    gc_worst = 0.0
-    for f in wave_fields(ns):
-        for v in g.vertices:
-            gc_worst = max(gc_worst, gc_residual(f, resolved[v.id], g, args.eps))
-    spider0, spider1 = 0.0, 0.0
+    gc_worst, spider0, spider1 = 0.0, 0.0, 0.0
     for v in g.vertices:
-        e0, e1 = _spider_errors(g, v, args.lam, args.eps)
+        res = resolve_vertex(g, v, args.lam)
+        gc_worst = max(gc_worst, gc_residual(ns, res, g))
+        e0, e1 = _spider_errors(g, v, res, args.lam, args.eps)
         spider0, spider1 = max(spider0, e0), max(spider1, e1)
 
     checks = [

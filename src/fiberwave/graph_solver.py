@@ -122,22 +122,6 @@ class VertexScatteringResolved:
 
 
 @dataclass
-class EdgeWaveField:
-    """Traveling-wave amplitudes of one scattering solution.
-
-    alpha[cid][n] multiplies exp(+i k t / eps), beta[cid][n] multiplies
-    exp(-i k t / eps) in the canonical parametrization of channel cid.  On
-    infinite channels beta is the incident indicator.
-    """
-
-    lam: float
-    eps: float
-    incident: tuple[int, int]
-    alpha: dict[int, np.ndarray]
-    beta: dict[int, np.ndarray]
-
-
-@dataclass
 class NetworkScattering:
     """The M x M network scattering matrix and its certification state,
     with the solved amplitude block it was read from."""
@@ -151,7 +135,9 @@ class NetworkScattering:
     certified: bool
     log_abs_det: float  # log|det A| of the assembled system, -inf when exactly singular
     amplitudes: np.ndarray  # unknowns x M, one column per incident wave
-    channel_slices: tuple[tuple[int, slice, slice], ...]  # (channel id, alpha columns, beta columns)
+    # (channel id, alpha rows, beta rows) of the amplitudes; an infinite
+    # channel's beta rows index the M x M incident block below the unknowns
+    channel_slices: tuple[tuple[int, slice, slice], ...]
 
     def weighted(self) -> np.ndarray:
         """D^{1/2} T D^{-1/2}, the unitary-symmetric normalization."""
@@ -311,7 +297,9 @@ class _SolvePlan:
     # per value (junction-matrix entries, then one outgoing entry per row):
     # its CSC data slot, or nnz + its flat position in the right-hand side
     slots: np.ndarray
-    channel_slices: tuple[tuple[int, slice, slice], ...]  # (channel id, alpha columns, beta columns)
+    # (channel id, alpha columns, beta columns); an infinite channel's beta
+    # columns are those of its incident waves, past the unknowns
+    channel_slices: tuple[tuple[int, slice, slice], ...]
     ordering_alpha: np.ndarray  # alpha column of each entry of the mode ordering
 
 
@@ -543,8 +531,8 @@ def solve_batch(
     the batch must give every channel the same propagating-mode count.
 
     Each result carries the network scattering matrix together with its
-    block of solved amplitudes and log|det A| of its block; wave_fields
-    turns the block into per-incident wave fields.  When a block's
+    block of solved amplitudes and log|det A| of its block; vertex_traces
+    reads the fields' traces at a vertex off the block.  When a block's
     reciprocal condition estimate falls below RCOND_TOL its result is not
     certified: NearSingular is raised for the first such request unless
     `allow_flagged` is set, in which case flagged results are returned.  A
@@ -608,76 +596,49 @@ def solve_scattering(g: MetricGraph, req: SolveRequest, *, allow_flagged: bool =
     return solve_batch(g, [req], allow_flagged=allow_flagged)[0]
 
 
-def wave_fields(ns: NetworkScattering) -> list[EdgeWaveField]:
-    """One wave field per entry of the mode ordering, in that order, read off
-    the solved amplitude block."""
-    m = ns.ordering.M
-    # one row per incident wave: its unknowns, then the incident indicator,
-    # in the column order of the assembly
-    amplitudes = np.hstack([ns.amplitudes.T, np.eye(m)])
-    return [
-        EdgeWaveField(
-            lam=ns.lam,
-            eps=ns.eps,
-            incident=incident,
-            alpha={cid: amp[sa] for cid, sa, _sb in ns.channel_slices},
-            beta={cid: amp[sb] for cid, _sa, sb in ns.channel_slices},
-        )
-        for incident, amp in zip(ns.ordering.entries, amplitudes)
-    ]
-
-
-def local_traces(
-    field: EdgeWaveField, resolved: VertexScatteringResolved, g: MetricGraph
+def vertex_traces(
+    ns: NetworkScattering, resolved: VertexScatteringResolved, g: MetricGraph
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Values and outward derivatives of the field at a vertex, ordered by
-    the vertex's local mode entries.
+    """Values S0 and outward derivatives S1 of the solved fields at a
+    vertex, dim x M: row r is the vertex's local entry r and column c the
+    incident wave ns.ordering.entries[c].
 
-    The derivative is taken along the local parameter that starts at 0 on
-    the vertex and increases into the channel.
+    The amplitudes are read through ns.channel_slices from the solved block
+    with the incident indicator stacked under it, and a far end's phase
+    exp(i k length / eps) from the channel's length.  The derivative is
+    taken along the local parameter that starts at 0 on the vertex and
+    increases into the channel.
     """
-    eps = field.eps
-    vals = np.zeros(resolved.dim, dtype=complex)
-    ders = np.zeros(resolved.dim, dtype=complex)
-    for r, (cid, which, n) in enumerate(resolved.entries):
-        chan = g.channel(cid)
-        k = resolved.d_diag[r]
-        a = field.alpha[cid][n]
-        b = field.beta[cid][n]
-        if which == START:
-            vals[r] = a + b
-            ders[r] = 1j * k / eps * (a - b)
-        else:
-            p = propagation_phase(k, chan.length, eps)
-            vals[r] = a * p + b * np.conj(p)
-            ders[r] = 1j * k / eps * (b * np.conj(p) - a * p)
-    return vals, ders
+    # one row per amplitude: the unknowns, then the incident betas in the
+    # column order of the assembly
+    amplitudes = np.vstack([ns.amplitudes, np.eye(ns.ordering.M)])
+    first = {cid: (sa.start, sb.start) for cid, sa, sb in ns.channel_slices}
+    alpha_rows = np.array([first[cid][0] + n for cid, _which, n in resolved.entries], dtype=np.intp)
+    beta_rows = np.array([first[cid][1] + n for cid, _which, n in resolved.entries], dtype=np.intp)
+    at_start = np.array([which == START for _cid, which, _n in resolved.entries], dtype=bool)
+    # a start end reads t = 0, a far end t = length in the reversed parameter
+    lengths = [0.0 if which == START else g.channel(cid).length for cid, which, _n in resolved.entries]
+    phase = propagation_phase(resolved.d_diag, lengths, ns.eps)[:, None]
+    a = amplitudes[alpha_rows] * phase
+    b = amplitudes[beta_rows] * phase.conj()
+    outward = np.where(at_start, 1j, -1j) * resolved.d_diag / ns.eps
+    return a + b, outward[:, None] * (a - b)
 
 
-def gc_residual(
-    field: EdgeWaveField, resolved: VertexScatteringResolved, g: MetricGraph, eps: float
-) -> float:
-    """Largest absolute residual of the coupling condition at one vertex,
-    evaluated scalar by scalar from the wave field.
+def gc_residual(ns: NetworkScattering, resolved: VertexScatteringResolved, g: MetricGraph) -> float:
+    """Largest absolute entry, over the vertex's rows and every incident
+    wave, of the coupling condition as the paper states it,
 
-    This re-derives each row of the condition as the coordinate sum
+        eps (I + T_v) D_v^{-1} S1 + i (I - T_v) S0,
 
-        sum_(j,n) [ eps (delta + T[r,(j,n)]) k_jn^{-1} s'_jn
-                    + i (delta - T[r,(j,n)]) s_jn ]
-
-    which is an independent evaluation path against the matrix assembly.
+    with S0, S1 from vertex_traces.  The traces are read off the amplitude
+    block and the channel lengths, not through the solve plan's index
+    arrays, so this evaluates the condition independently of the assembly.
     """
-    vals, ders = local_traces(field, resolved, g)
-    t = resolved.t_matrix
-    worst = 0.0
-    for r in range(resolved.dim):
-        acc = 0.0 + 0.0j
-        for c in range(resolved.dim):
-            delta = 1.0 if r == c else 0.0
-            acc += eps * (delta + t[r, c]) / resolved.d_diag[c] * ders[c]
-            acc += 1j * (delta - t[r, c]) * vals[c]
-        worst = max(worst, abs(acc))
-    return worst
+    s0, s1 = vertex_traces(ns, resolved, g)
+    eye, t = np.eye(resolved.dim), resolved.t_matrix
+    r = ns.eps * (eye + t) @ (s1 / resolved.d_diag[:, None]) + 1j * (eye - t) @ s0
+    return float(np.max(np.abs(r), initial=0.0))
 
 
 @dataclass
@@ -708,25 +669,3 @@ def energy_report(ns: NetworkScattering) -> EnergyReport:
     balance = np.real(np.diagonal(cross)) - d
     np.fill_diagonal(cross, 0.0)
     return EnergyReport(balance=balance, cross=cross)
-
-
-def boundary_value_matrices(
-    fields: list[EdgeWaveField],
-    resolved: VertexScatteringResolved,
-    g: MetricGraph,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices of vertex traces, columns ordered like the local entries.
-
-    For a single-vertex graph the solved fields satisfy S0 = I + T_v and
-    S1 = (i/eps) D_v (T_v - I); checking those identities exercises the
-    whole assembly/solve/extraction pipeline.
-    """
-    by_incident = {f.incident: f for f in fields}
-    s0 = np.zeros((resolved.dim, resolved.dim), dtype=complex)
-    s1 = np.zeros((resolved.dim, resolved.dim), dtype=complex)
-    for c, (cid, _which, n) in enumerate(resolved.entries):
-        f = by_incident[(cid, n)]
-        vals, ders = local_traces(f, resolved, g)
-        s0[:, c] = vals
-        s1[:, c] = ders
-    return s0, s1

@@ -74,11 +74,12 @@ class Stub:
     """The stub of a semi-infinite channel.
 
     `rect` is the stub rectangle, which no other rectangle may touch past
-    its first line.  It may be any whole number of cells long: the stub is
-    solved as the uniform semi-infinite strip it stands for, so its length
-    does not change the result.  `direction` points outward, toward its far
-    (truncation) plane; the opposite face is the attachment (base) plane
-    where amplitudes are referenced.
+    its first line, nor lie in the strip beyond its far edge.  It may be
+    any whole number of cells long: the stub is solved as the uniform
+    semi-infinite strip it stands for, so its length does not change the
+    result.  `direction` points outward, toward its far (truncation)
+    plane; the opposite face is the attachment (base) plane where
+    amplitudes are referenced.
     """
 
     rect: Rect
@@ -180,7 +181,10 @@ def _lattice(geom: PlanarGeometry, lam: float) -> tuple[np.ndarray, list[_StubMo
     past its row 1 is dropped, and the unknowns are the remaining interior
     nodes (all four adjacent cells covered), row-major.  The strip is the
     uniform semi-infinite strip of its modes only if its side walls are
-    walls, so a rectangle touching them past row 1 is rejected."""
+    walls and it is empty, so a rectangle touching them past row 1, or
+    reaching past the stub's far edge within its open transverse range, is
+    rejected; the latter is checked last, so every earlier refusal keeps
+    its order."""
     h = geom.h
     if not (h > 0 and math.isfinite(h)):
         raise GeometryInvalid(f"grid spacing must be positive and finite, got {h!r}")
@@ -236,6 +240,12 @@ def _lattice(geom: PlanarGeometry, lam: float) -> tuple[np.ndarray, list[_StubMo
         if touched[si]:
             raise GeometryInvalid(f"stub {si}: a side wall past its first line touches another rectangle")
         stubs.append(_StubModes(w[:2, 1:-1], *m))
+    for si, (s, stub) in enumerate(zip(geom.stubs, rects[len(geom.cores) :])):
+        a = 0 if s.direction[1] == "x" else 1  # the stub's axis; 1 - a is transverse
+        for r in rects:
+            past = r[a] < stub[a] if s.direction[0] == "-" else r[a + 2] > stub[a + 2]
+            if past and max(r[1 - a], stub[1 - a]) < min(r[3 - a], stub[3 - a]):
+                raise GeometryInvalid(f"stub {si}: a rectangle lies in its strip past its far edge")
     return idx, stubs
 
 

@@ -17,11 +17,10 @@ from fiberwave.cross_section import Interval
 from fiberwave.graph_model import Channel, MetricGraph, Vertex
 from fiberwave.graph_solver import (
     SolveRequest,
-    boundary_value_matrices,
     energy_report,
     resolve_vertex,
     solve_scattering,
-    wave_fields,
+    vertex_traces,
 )
 from fiberwave.helmholtz_oracle import (
     cross_geometry,
@@ -124,7 +123,7 @@ def test_criterion_4_spider_consistency():
         )
         ns = solve_scattering(g, SolveRequest(lam, eps))
         res = resolve_vertex(g, g.vertices[0], lam)
-        s0, s1 = boundary_value_matrices(wave_fields(ns), res, g)
+        s0, s1 = vertex_traces(ns, res, g)
         eye = np.eye(res.dim)
         worst0 = max(worst0, float(np.max(np.abs(s0 - (eye + res.t_matrix)))))
         want = (1j / eps) * res.d_diag[:, None] * (res.t_matrix - eye)

@@ -314,10 +314,13 @@ _SIDE_Y = Stub(rect=(-3 * W + H16, W, -2 * W + H16, 3 * W), direction="-y")
          "side wall past its first line"),
         (PlanarGeometry(((0.0, 0.0, W, W),), (_SIDE_Y, _SIDE_X), H16), LAM, GeometryInvalid,
          "side wall past its first line"),
+        # a detached square in the -x stub's strip, past the stub's far edge
+        (PlanarGeometry(((0.0, 0.0, W, W), (-4 * W, 0.0, -3 * W, W)), cross_geometry(W, 2 * W, H16).stubs, H16),
+         LAM, GeometryInvalid, "stub 0: a rectangle lies in its strip past its far edge"),
     ],
     ids=["h-inf", "lambda-nan", "points-per-wavelength", "degenerate", "direction", "empty",
          "one-cell-wide", "discrete-threshold", "truncation-blocked", "no-interior",
-         "corner-x-first", "corner-y-first"],
+         "corner-x-first", "corner-y-first", "past-far-edge"],
 )
 def test_lattice_refusals(geom, lam, exc, fragment):
     """Every refusal of the lattice builder keeps its type and message."""
