@@ -603,15 +603,14 @@ def vertex_traces(
     vertex, dim x M: row r is the vertex's local entry r and column c the
     incident wave ns.ordering.entries[c].
 
-    The amplitudes are read through ns.channel_slices from the solved block
-    with the incident indicator stacked under it, and a far end's phase
-    exp(i k length / eps) from the channel's length.  The derivative is
-    taken along the local parameter that starts at 0 on the vertex and
-    increases into the channel.
+    The amplitudes are read through ns.channel_slices from the solved block,
+    and a far end's phase exp(i k length / eps) from the channel's length.
+    A beta row past the block's unknowns is an incident wave, whose
+    amplitudes are its indicator.  The derivative is taken along the local
+    parameter that starts at 0 on the vertex and increases into the
+    channel.
     """
-    # one row per amplitude: the unknowns, then the incident betas in the
-    # column order of the assembly
-    amplitudes = np.vstack([ns.amplitudes, np.eye(ns.ordering.M)])
+    unknowns = len(ns.amplitudes)
     first = {cid: (sa.start, sb.start) for cid, sa, sb in ns.channel_slices}
     alpha_rows = np.array([first[cid][0] + n for cid, _which, n in resolved.entries], dtype=np.intp)
     beta_rows = np.array([first[cid][1] + n for cid, _which, n in resolved.entries], dtype=np.intp)
@@ -619,8 +618,12 @@ def vertex_traces(
     # a start end reads t = 0, a far end t = length in the reversed parameter
     lengths = [0.0 if which == START else g.channel(cid).length for cid, which, _n in resolved.entries]
     phase = propagation_phase(resolved.d_diag, lengths, ns.eps)[:, None]
-    a = amplitudes[alpha_rows] * phase
-    b = amplitudes[beta_rows] * phase.conj()
+    a = ns.amplitudes[alpha_rows] * phase
+    b = np.zeros((len(beta_rows), ns.ordering.M), dtype=complex)
+    inner = beta_rows < unknowns
+    b[inner] = ns.amplitudes[beta_rows[inner]]
+    b[np.flatnonzero(~inner), beta_rows[~inner] - unknowns] = 1.0
+    b *= phase.conj()
     outward = np.where(at_start, 1j, -1j) * resolved.d_diag / ns.eps
     return a + b, outward[:, None] * (a - b)
 

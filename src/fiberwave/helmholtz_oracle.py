@@ -28,14 +28,21 @@ single triangular solve with a single sparse LU factorization of the
 operator (ordered by minimum degree on A^T + A), amplitudes projected on
 each stub's line p = 1, carried to the extraction plane one channel width
 from the stub base and referenced to the base plane in the continuum phase
-convention, so they converge at O(h^2) to the continuum matrices.
+convention.  They converge to the continuum matrices at about first order
+in h, not O(h^2): the field has an r^(2/3) singularity at each 270-degree
+corner (Grisvard).  On the cross at lambda = 2 the matrix moves 2.2 times
+as far from h = pi/16 to pi/32 as from pi/32 to pi/64; O(h^2) would give 4.
+
 Junctions are solved once at unit scale; rescaling the network by the fiber
 thickness maps the thin problem onto widths-fixed geometry with channel
-lengths divided by the thickness.  That rescaled network is one more
-junction whose stubs are the graph's infinite channels, so the full-network
-reference matrix comes from the same solve as every junction matrix, with
-rows and columns already in the graph's global mode ordering.  The links
-between junctions stay meshed.
+lengths divided by the thickness.  A link of that network is a uniform
+Dirichlet strip, which the discrete modes of the stubs at its ends solve
+exactly, so the network is its junctions joined through their links: each
+junction is solved once more with every mode of each stub that serves a
+link, and the links carry mode n from one stub to mode n of the other, in
+each stub's own transverse coordinate.  That equals, to rounding, the
+5-point solve of the whole meshed network, with rows and columns in the
+graph's global mode ordering.
 """
 
 from __future__ import annotations
@@ -44,10 +51,12 @@ import hashlib
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import block_diag
 from scipy.sparse.linalg import splu
 
 from . import cross_section as cs
@@ -60,7 +69,7 @@ from .errors import (
     NonConvergedSolve,
     UnresolvableJunction,
 )
-from .graph_model import END, START, MetricGraph, OracleJunction, Vertex, validate_graph
+from .graph_model import END, START, MetricGraph, OracleJunction, validate_graph
 
 Rect = tuple[float, float, float, float]
 
@@ -286,8 +295,9 @@ def _assemble(idx: np.ndarray, stubs: Sequence[_StubModes], h: float, lam: float
 def _factor(matrix: sp.csc_matrix, lam: float):
     """SuperLU factorization in SuperLU's minimum-degree order on A^T + A:
     the 5-point stencil and the modal closure blocks make the pattern nearly
-    symmetric, and that order keeps 29-52 L+U entries per row where COLAMD
-    (ordering A^T A) keeps 47-92.  Pivot threshold, relax and panel size
+    symmetric, and on the cross and elbow junctions at h = pi/32 and pi/64
+    that order keeps 30-52 L+U entries per row where COLAMD (ordering
+    A^T A) keeps 49-92.  Pivot threshold, relax and panel size
     stay at SuperLU's defaults; larger values were 2-3x slower with no less
     fill.  It factors the matrix _assemble returns, so the assembly's COO
     pieces are freed before the factor's fill-in is allocated."""
@@ -297,38 +307,51 @@ def _factor(matrix: sp.csc_matrix, lam: float):
         raise NonConvergedSolve(f"factorization failed at lambda = {lam!r}: {exc}") from exc
 
 
-def _incidents(n: int, stubs: Sequence[_StubModes]) -> np.ndarray:
-    """One right-hand side per (stub, propagating mode), in stub then mode
+def _counts(stubs: Sequence[_StubModes], links: frozenset[int]) -> list[int]:
+    """Each stub's number of (incident, outgoing) modes: every mode of a stub
+    whose geometry index is in `links` (it serves a link), the propagating
+    modes of any other."""
+    return [len(s.ratio) if si in links else s.n_prop for si, s in enumerate(stubs)]
+
+
+def _incidents(n: int, stubs: Sequence[_StubModes], links: frozenset[int] = frozenset()) -> np.ndarray:
+    """One right-hand side per (stub, mode) of _counts, in stub then mode
     order: the unit incident wave r^-p, referenced to the base plane p = 0.
     Its strip value on row 2 is r u_hat(1) + (1/r - r) r^-1, so it enters
     the system as (1/r - r) r^-1 phi_n on row 1."""
-    b = np.zeros((n, sum(s.n_prop for s in stubs)), dtype=complex)
+    counts = _counts(stubs, links)
+    b = np.zeros((n, sum(counts)), dtype=complex)
     col = 0
-    for s in stubs:
-        r = s.ratio[: s.n_prop]
-        b[s.ids[1], col : col + s.n_prop] = s.phi[: s.n_prop].T * ((1.0 / r - r) / r)
-        col += s.n_prop
+    for s, c in zip(stubs, counts):
+        r = s.ratio[:c]
+        b[s.ids[1], col : col + c] = s.phi[:c].T * ((1.0 / r - r) / r)
+        col += c
     return b
 
 
-def _extract(u: np.ndarray, stubs: Sequence[_StubModes], h: float) -> np.ndarray:
-    """Outgoing amplitudes of every (stub, propagating mode) row for every
+def _extract(u: np.ndarray, stubs: Sequence[_StubModes], h: float, links: frozenset[int] = frozenset()) -> np.ndarray:
+    """Outgoing amplitudes of every (stub, mode) row of _counts for every
     column of u, u's columns solved from _incidents: the field is projected
-    on row 1, the incident wave is removed, the outgoing wave is carried by
-    r^(p_e - 1) to the extraction plane p_e one channel width from the base
-    plane, and referenced from there to the base plane in the continuum
-    phase convention of the channel."""
+    on row 1 and the incident wave is removed.  A link stub's outgoing wave
+    is read at the base plane in discrete form, r^-1 back from row 1; any
+    other's is carried by r^(p_e - 1) to the extraction plane p_e one
+    channel width from the base plane, and referenced from there to the
+    base plane in the continuum phase convention of the channel."""
     blocks = [np.zeros((0, u.shape[1]), dtype=complex)]  # a geometry may have no stubs
     col = 0
-    for s in stubs:
-        # one channel width out, n_t + 1 cells; the strip there is the
-        # modal continuation of row 1, so no line of it is meshed
-        p_e = s.ids.shape[1] + 1
-        r = s.ratio[: s.n_prop]
-        hat = h * (s.phi[: s.n_prop] @ u[s.ids[1]])
-        hat[:, col : col + s.n_prop] -= np.diag(1.0 / r)
-        blocks.append(hat * (r ** (p_e - 1) * np.exp(-1j * s.k_cont * (p_e * h)))[:, None])
-        col += s.n_prop
+    for si, (s, c) in enumerate(zip(stubs, _counts(stubs, links))):
+        r = s.ratio[:c]
+        hat = h * (s.phi[:c] @ u[s.ids[1]])
+        hat[:, col : col + c] -= np.diag(1.0 / r)
+        if si in links:
+            scale = 1.0 / r
+        else:
+            # one channel width out, n_t + 1 cells; the strip there is the
+            # modal continuation of row 1, so no line of it is meshed
+            p_e = s.ids.shape[1] + 1
+            scale = r ** (p_e - 1) * np.exp(-1j * s.k_cont * (p_e * h))
+        blocks.append(hat * scale[:, None])
+        col += c
     return np.concatenate(blocks)
 
 
@@ -353,24 +376,24 @@ class JunctionScattering:
         return [(s, m) for s, c in enumerate(self.mode_counts) for m in range(c)]
 
 
-def _scatter(geom: PlanarGeometry, lam: float) -> tuple[np.ndarray, list[_StubModes]]:
-    """Outgoing amplitudes of every (stub, propagating mode) row for every
-    (stub, propagating mode) incident column, with the stubs that label
-    them: one factorization and one multi-right-hand-side triangular solve
-    with no refinement step (its residual is already near 1e-14), each
-    column finite and within the residual test on its own."""
+def _scatter(geom: PlanarGeometry, lam: float, links: frozenset[int] = frozenset()) -> tuple[np.ndarray, list[_StubModes]]:
+    """Outgoing amplitudes of every (stub, mode) row of _counts for every
+    (stub, mode) incident column, with the stubs that label them: one
+    factorization and one multi-right-hand-side triangular solve with no
+    refinement step (its residual is already near 1e-14), each column
+    finite and within the residual test on its own."""
     idx, stubs = _lattice(geom, lam)
-    if not any(s.n_prop for s in stubs):  # no rows and no columns: nothing to factor
+    if not sum(_counts(stubs, links)):  # no rows and no columns: nothing to factor
         return np.zeros((0, 0), dtype=complex), stubs
     matrix = _assemble(idx, stubs, geom.h, lam)
-    b = _incidents(matrix.shape[0], stubs)
+    b = _incidents(matrix.shape[0], stubs, links)
     lu = _factor(matrix, lam)
     u = lu.solve(b)
     rel = np.max(np.abs(b - matrix @ u), axis=0) / np.maximum(np.max(np.abs(b), axis=0), 1e-300)
     bad = ~np.isfinite(u).all(axis=0) | (rel > 1e-8)
     if bad.any():
         raise NonConvergedSolve(f"discrete solve residual {rel[bad][0]:.3e}")
-    return _extract(u, stubs, geom.h), stubs
+    return _extract(u, stubs, geom.h, links), stubs
 
 
 def junction_matrix(geom: PlanarGeometry, lam: float) -> JunctionScattering:
@@ -394,21 +417,36 @@ def flux_residual(js: JunctionScattering) -> np.ndarray:
     return js.d_diag @ np.abs(js.matrix) ** 2 - js.d_diag
 
 
-def network_geometry(g: MetricGraph, eps: float) -> PlanarGeometry:
-    """Lay out the rescaled planar network defined by a valid graph whose
-    vertices all carry oracle junction geometries.
+@lru_cache(maxsize=128)
+def _junction_block(geom: PlanarGeometry, lam: float, links: frozenset[int]) -> tuple[np.ndarray, tuple]:
+    """_scatter's block of a junction whose stubs in `links` serve links,
+    and each stub's ratios r_n of its modes, kept for the most recently
+    used (geometry, lambda, link stubs) of the process.  The stub records
+    are not kept: their unknown ids view the whole lattice."""
+    t, stubs = _scatter(geom, lam, links)
+    ratios = tuple(s.ratio[:c] for s, c in zip(stubs, _counts(stubs, links)))
+    for a in (t, *ratios):
+        a.flags.writeable = False  # every cache hit hands out these same arrays
+    return t, ratios
 
-    Vertices are placed by walking the finite ends of each placed vertex: a
-    finite channel of length l becomes a straight rectangle of length l/eps
-    joining the attachment planes of the two stubs that serve its ends,
-    which must face each other with equal widths, and a channel that reaches
-    a placed vertex must meet it.  Infinite channels keep their stub; the
-    stubs follow g.infinite_channel_ids.
+
+def solve_network(g: MetricGraph, lam: float, eps: float) -> np.ndarray:
+    """Scattering matrix of the rescaled thin network (widths fixed, finite
+    channel lengths divided by eps), in the graph's global mode ordering.
+
+    The outgoing amplitudes o of every vertex solve (I - S P) o = S E: S is
+    block-diagonal over the vertices' _junction_block, E injects the
+    incident waves of the infinite channels, and P carries mode n leaving
+    one end of a link of N = length / (eps h) cells to mode n arriving at
+    the other as r_n^N, each in its own stub's transverse coordinate
+    (numbered along +y across an x stub, along +x across a y stub).  The
+    modes solve the uniform strip of a link exactly, so this is the 5-point
+    solve of the meshed network to rounding, and a network need not close
+    in the plane.
     """
     violations = validate_graph(g)
     if violations:
         raise GraphInvalid(violations)
-    vgeoms: dict[int, PlanarGeometry] = {}
     h: Optional[float] = None
     for v in g.vertices:
         if not isinstance(v.junction, OracleJunction):
@@ -424,74 +462,30 @@ def network_geometry(g: MetricGraph, eps: float) -> PlanarGeometry:
             h = pg.h
         elif pg.h != h:
             raise GeometryInvalid("all vertex geometries must share the same grid spacing")
-        vgeoms[v.id] = pg
-    assert h is not None
+    stub = {end: v.junction.geometry.stubs[i] for v in g.vertices for i, end in enumerate(v.ends)}
+    cells = {}  # each link's length in cells
+    for c in g.channels:
+        if not c.is_infinite:
+            if abs(stub[c.id, START].width - stub[c.id, END].width) > 1e-9:
+                raise GeometryInvalid(f"channel {c.id}: stub widths differ")
+            cells[c.id] = _to_lattice(c.length / eps, h, f"channel {c.id}: link length")
 
-    owner = {end: (v, i) for v in g.vertices for i, end in enumerate(v.ends)}
-    link_length = {c.id: c.length / eps for c in g.channels if not c.is_infinite}
-    pos: dict[int, tuple[float, float]] = {g.vertices[0].id: (0.0, 0.0)}
-    todo = [g.vertices[0]]
-    channel_rects: list[Rect] = []
-
-    def stub_global(v: Vertex, i: int) -> Stub:
-        dx, dy = pos[v.id]
-        s = vgeoms[v.id].stubs[i]
-        x0, y0, x1, y1 = s.rect
-        return Stub(rect=(x0 + dx, y0 + dy, x1 + dx, y1 + dy), direction=s.direction)
-
-    while todo:
-        va = todo.pop()
-        for ia, (cid, which) in enumerate(va.ends):
-            if cid not in link_length:
-                continue
-            vb, ib = owner[(cid, END if which == START else START)]
-            sa, sb = stub_global(va, ia), vgeoms[vb.id].stubs[ib]
-            if {sa.direction, sb.direction} not in ({"+x", "-x"}, {"+y", "-y"}):
-                raise GeometryInvalid(
-                    f"channel {cid}: stub directions {sa.direction} and "
-                    f"{sb.direction} do not face each other"
-                )
-            if abs(sa.width - sb.width) > 1e-9:
-                raise GeometryInvalid(f"channel {cid}: stub widths differ")
-            # the link runs along axis a (0 for x, 1 for y) away from sa's
-            # base plane rect[a + k]; sb's base plane faces it at rect[a + 2 - k]
-            a = "xy".index(sa.direction[1])
-            k, sign = (0, 1.0) if sa.direction[0] == "+" else (2, -1.0)
-            far = sa.rect[a + k] + sign * link_length[cid]
-            offset = [0.0, 0.0]
-            offset[a] = far - sb.rect[a + 2 - k]
-            offset[1 - a] = sa.rect[1 - a] - sb.rect[1 - a]
-            if vb.id not in pos:
-                pos[vb.id] = tuple(offset)
-                todo.append(vb)
-            elif any(abs(p - q) > 1e-9 for p, q in zip(pos[vb.id], offset)):
-                raise GeometryInvalid(f"channel {cid}: network cycle does not close geometrically")
-            if which == START:
-                rect = list(sa.rect)
-                rect[a], rect[a + 2] = sorted((sa.rect[a + k], far))
-                channel_rects.append(tuple(rect))
-
-    if len(pos) != len(g.vertices):
-        raise GeometryInvalid("network geometry is disconnected through finite channels")
-
-    cores: list[Rect] = []
+    blocks, first, ratio, n = [], {}, {}, 0  # first: each end's first row of o
     for v in g.vertices:
-        dx, dy = pos[v.id]
-        for (x0, y0, x1, y1) in vgeoms[v.id].cores:
-            cores.append((x0 + dx, y0 + dy, x1 + dx, y1 + dy))
-    cores.extend(channel_rects)
-
-    stubs = tuple(stub_global(*owner[(cid, START)]) for cid in g.infinite_channel_ids)
-    return PlanarGeometry(cores=tuple(cores), stubs=stubs, h=h)
-
-
-def solve_network(g: MetricGraph, lam: float, eps: float) -> np.ndarray:
-    """Scattering matrix of the full rescaled thin network (widths fixed,
-    finite channel lengths divided by eps), solved as one junction whose
-    stubs are the infinite channels: rows and columns follow the graph's
-    global mode ordering, directly comparable with the graph model's
-    network scattering matrix."""
-    return _scatter(network_geometry(g, eps), lam)[0]
+        links = frozenset(i for i, (cid, _which) in enumerate(v.ends) if cid in cells)
+        t, ratios = _junction_block(v.junction.geometry, float(lam), links)
+        blocks.append(t)
+        for end, r in zip(v.ends, ratios):
+            first[end], ratio[end] = n, r
+            n += len(r)
+    p = np.zeros((n, n), dtype=complex)
+    for cid, n_cells in cells.items():
+        modes = np.arange(len(ratio[cid, START]))
+        a, b = first[cid, START] + modes, first[cid, END] + modes
+        p[a, b] = p[b, a] = ratio[cid, START] ** n_cells
+    rows = np.concatenate([first[cid, START] + np.arange(len(ratio[cid, START])) for cid in g.infinite_channel_ids])
+    s = block_diag(*blocks)
+    return np.linalg.solve(np.eye(n) - s @ p, s[:, rows])[rows]
 
 
 def duct_geometry(width: float, stub_length: float, h: float) -> PlanarGeometry:
