@@ -256,18 +256,14 @@ def _oracle_matrix(geom, lam: float) -> np.ndarray:
 
 
 def _resolve_oracle(g: MetricGraph, v, j: OracleJunction, lam: float) -> np.ndarray:
+    from . import helmholtz_oracle  # deferred: heavy module
+
     geom = j.geometry
     if len(geom.stubs) != len(v.ends):
         raise DimensionMismatch(
             f"vertex {v.id}: geometry has {len(geom.stubs)} stubs for {len(v.ends)} incident ends"
         )
-    for stub, (cid, _which) in zip(geom.stubs, v.ends):
-        shape = g.channel(cid).cross_section
-        if not isinstance(shape, cs.Interval) or abs(shape.width - stub.width) > 1e-9:
-            raise DimensionMismatch(
-                f"vertex {v.id}: stub width {stub.width!r} does not match channel {cid} "
-                f"cross-section {shape!r} (planar junctions serve interval channels only)"
-            )
+    helmholtz_oracle.check_stubs(g, v)
     return _oracle_matrix(geom, float(lam))
 
 

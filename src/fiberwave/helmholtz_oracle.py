@@ -389,7 +389,16 @@ def _scatter(geom: PlanarGeometry, lam: float, links: frozenset[int] = frozenset
     b = _incidents(matrix.shape[0], stubs, links)
     lu = _factor(matrix, lam)
     u = lu.solve(b)
-    rel = np.max(np.abs(b - matrix @ u), axis=0) / np.maximum(np.max(np.abs(b), axis=0), 1e-300)
+    # b is nonzero on the stubs' row-1 lines only: keep those rows, and form
+    # the residual and each column's largest squared modulus in A u's place
+    rows = np.concatenate([s.ids[1] for s in stubs])
+    b = b[rows]
+    res = matrix @ u
+    res[rows] -= b
+    sq = res.view(np.float64)
+    np.multiply(sq, sq, out=sq)
+    np.add(sq[:, 0::2], sq[:, 1::2], out=sq[:, 0::2])
+    rel = np.sqrt(np.max(sq[:, 0::2], axis=0)) / np.maximum(np.max(np.abs(b), axis=0), 1e-300)
     bad = ~np.isfinite(u).all(axis=0) | (rel > 1e-8)
     if bad.any():
         raise NonConvergedSolve(f"discrete solve residual {rel[bad][0]:.3e}")
@@ -415,6 +424,19 @@ def flux_residual(js: JunctionScattering) -> np.ndarray:
     with continuum wavenumbers d; 0 for the continuum problem, O(h^2)
     here."""
     return js.d_diag @ np.abs(js.matrix) ** 2 - js.d_diag
+
+
+def check_stubs(g: MetricGraph, v) -> None:
+    """Refuse an oracle vertex whose stubs, one per incident end in order,
+    do not match their channels: each must be as wide as its channel's
+    interval cross-section."""
+    for stub, (cid, _which) in zip(v.junction.geometry.stubs, v.ends):
+        shape = g.channel(cid).cross_section
+        if not isinstance(shape, cs.Interval) or abs(shape.width - stub.width) > 1e-9:
+            raise DimensionMismatch(
+                f"vertex {v.id}: stub width {stub.width!r} does not match channel {cid} "
+                f"cross-section {shape!r} (planar junctions serve interval channels only)"
+            )
 
 
 @lru_cache(maxsize=128)
@@ -469,6 +491,8 @@ def solve_network(g: MetricGraph, lam: float, eps: float) -> np.ndarray:
             if abs(stub[c.id, START].width - stub[c.id, END].width) > 1e-9:
                 raise GeometryInvalid(f"channel {c.id}: stub widths differ")
             cells[c.id] = _to_lattice(c.length / eps, h, f"channel {c.id}: link length")
+    for v in g.vertices:
+        check_stubs(g, v)
 
     blocks, first, ratio, n = [], {}, {}, 0  # first: each end's first row of o
     for v in g.vertices:

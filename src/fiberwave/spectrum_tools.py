@@ -17,7 +17,7 @@ each strict local minimum of that curve is refined to the bottom of
 sparse LU factor at an off-grid lambda; at an embedded eigenvalue the
 bottom is a V-shaped zero, found by secant steps along the V's branches.
 RCOND_TOL is applied to the reciprocal condition at the bottom: the grid's
-own at a node, else one solve per off-grid bottom, all in one batch.  A
+own at a node, else estimated on the refinement's own factor there.  A
 grid row is certified when the reciprocal condition over its grid cell -
 not just at its node - stays above RCOND_TOL and lambda is clear of
 thresholds, which ThresholdTable.span checks at the window's ends as the
@@ -30,7 +30,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterator, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -47,8 +47,8 @@ from .errors import (
 from .graph_model import MetricGraph
 from .graph_solver import (
     RCOND_TOL,
-    NetworkScattering,
     SolveRequest,
+    _estimate_rcond,
     _log_abs_det,
     assemble_system,
     energy_report,
@@ -89,13 +89,12 @@ class SweepResult:
 
 
 def _factor(g: MetricGraph, lam: float, eps: float):
-    """The SuperLU factor of the system assembled at lam, or None when the
-    matrix is exactly singular."""
+    """The system matrix assembled at lam and its SuperLU factor, None if exactly singular."""
     matrix = assemble_system(g, SolveRequest(lam=lam, eps=eps)).matrix
     try:
-        return lu_factor(matrix)
+        return matrix, lu_factor(matrix)
     except RuntimeError:  # SuperLU: the matrix is exactly singular
-        return None
+        return matrix, None
 
 
 def _v_bottom(log_d, cell: Sequence[tuple[float, float]]) -> float:
@@ -141,10 +140,12 @@ def _v_bottom(log_d, cell: Sequence[tuple[float, float]]) -> float:
     return min(pts, key=lambda pt: pt[1])[0]
 
 
-def _refine_dip(g: MetricGraph, eps: float, cell: Sequence[tuple[float, float]]) -> float:
+def _refine_dip(g: MetricGraph, eps: float, cell: Sequence[tuple[float, float]]) -> tuple[float, Optional[float]]:
     """The bottom lam* of |det A| in the grid cell [a, b] around the dip
     node m, from the grid's (lam, log|det A|) at a, m and b, where
-    log|det A| is a strict local minimum at m.
+    log|det A| is a strict local minimum at m, and its depth: the rcond
+    estimate on the search's own factor at lam* (0 where it is exactly
+    singular), or None at m, which the search does not factor.
 
     |det A| carries no phase, so the search does not depend on how fast
     the phase of det A turns across the cell: it turns with every broad
@@ -152,10 +153,17 @@ def _refine_dip(g: MetricGraph, eps: float, cell: Sequence[tuple[float, float]])
     eigenvalue the bottom is an exact zero, which _v_bottom finds down to
     float spacing; in a cell with no real zero it is a smooth minimum.
     """
-    def log_d(lam: float) -> float:
-        return float(_log_abs_det(_factor(g, lam, eps))[0])
+    factors = {}  # every sample's (matrix, factor), by lambda
 
-    return _v_bottom(log_d, cell)
+    def log_d(lam: float) -> float:
+        factors[lam] = _factor(g, lam, eps)
+        return float(_log_abs_det(factors[lam][1])[0])
+
+    lam_star = _v_bottom(log_d, cell)
+    if lam_star not in factors:  # the node m
+        return lam_star, None
+    matrix, lu = factors[lam_star]
+    return lam_star, 0.0 if lu is None else float(_estimate_rcond(matrix, lu)[0])
 
 
 def sweep(
@@ -174,8 +182,8 @@ def sweep(
     local minimum of the grid's log|det A| is refined to the bottom of
     |det A| between its grid neighbours (the node itself when the bottom
     there is better conditioned than the node), and the grid rows within
-    one step of it are flagged when the reciprocal condition there falls
-    below RCOND_TOL.
+    one step of it are flagged when the reciprocal condition there, read
+    off the refinement's own factor, falls below RCOND_TOL.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
@@ -194,34 +202,25 @@ def sweep(
     reqs = [SolveRequest(lam=float(lam), eps=eps) for lam in np.linspace(lam_lo, lam_hi, steps)]
     batch = max(1, BATCH_UNKNOWNS // max(unknowns, 1))
 
-    def solved(todo: Sequence[SolveRequest]) -> Iterator[NetworkScattering]:
-        # a batch's solutions are freed before the next batch is solved
-        for first in range(0, len(todo), batch):
-            yield from solve_batch(g, todo[first : first + batch], allow_flagged=True)
-
     rows = []
     grid = []  # (lam, log|det A|, rcond) of each node as solved, before any dip lowers a row's rcond
-    for ns in solved(reqs):
-        with np.errstate(invalid="ignore"):
-            abs_t_sq = np.sum(np.abs(ns.t) ** 2, axis=0)
-            flux = energy_report(ns).balance
-        rows.append(SweepRow(ns.lam, abs_t_sq, flux, ns.rcond, ns.certified))
-        grid.append((ns.lam, ns.log_abs_det, ns.rcond))
+    for first in range(0, steps, batch):
+        # a batch's solutions are freed before the next batch is solved
+        for ns in solve_batch(g, reqs[first : first + batch], allow_flagged=True):
+            with np.errstate(invalid="ignore"):
+                abs_t_sq = np.sum(np.abs(ns.t) ** 2, axis=0)
+                flux = energy_report(ns).balance
+            rows.append(SweepRow(ns.lam, abs_t_sq, flux, ns.rcond, ns.certified))
+            grid.append((ns.lam, ns.log_abs_det, ns.rcond))
 
-    # every strict local minimum of log|det A|: its grid node and the bottom
-    # lam* in its cell; the depth at every off-grid lam* comes from one
-    # batch of solves, and a lam* at its node keeps the grid's rcond
+    # every strict local minimum of log|det A| is refined in its cell
     dip_nodes = [i for i in range(1, steps - 1) if grid[i][1] < grid[i - 1][1] and grid[i][1] < grid[i + 1][1]]
-    stars = [_refine_dip(g, eps, [(lam, log_det) for lam, log_det, _ in grid[i - 1 : i + 2]]) for i in dip_nodes]
-    off_grid = [SolveRequest(lam=s, eps=eps) for s, i in zip(stars, dip_nodes) if s != grid[i][0]]
-    depths = iter([ns.rcond for ns in solved(off_grid)])
-
     dips: list[tuple[float, float]] = []
     step = (lam_hi - lam_lo) / (steps - 1)
-    for lam_star, i in zip(stars, dip_nodes):
+    for i in dip_nodes:
         lam, _, rcond = grid[i]
-        dip = rcond if lam_star == lam else next(depths)
-        if dip > rcond:  # no real zero of det A in the cell: the node is the bottom
+        lam_star, dip = _refine_dip(g, eps, [node[:2] for node in grid[i - 1 : i + 2]])
+        if dip is None or dip > rcond:  # lam* is the node, or no real zero of det A is in the cell
             lam_star, dip = lam, rcond
         dips.append((lam_star, dip))
         if dip < RCOND_TOL:

@@ -558,7 +558,8 @@ def test_vertex_traces_follow_mode_ordering():
 
 def test_estimate_rcond_exactly_singular_is_zero(monkeypatch):
     # SuperLU raises on an exactly singular matrix: the solve reports it as
-    # rcond 0, and the dip refinement as no factor, whose log|det A| is -inf
+    # rcond 0, and the dip refinement as the matrix with no factor, whose
+    # log|det A| is -inf
     import fiberwave.graph_solver as gs
     import fiberwave.spectrum_tools as st
 
@@ -568,7 +569,8 @@ def test_estimate_rcond_exactly_singular_is_zero(monkeypatch):
     )
     monkeypatch.setattr(gs, "assemble_system", lambda g, req: singular)
     monkeypatch.setattr(st, "assemble_system", lambda g, req: singular)
-    assert st._factor(g, req.lam, req.eps) is None
+    matrix, lu = st._factor(g, req.lam, req.eps)
+    assert matrix is singular.matrix and lu is None
     assert _log_abs_det(None) == -math.inf
     ns = solve_scattering(g, req, allow_flagged=True)
     assert ns.rcond == 0.0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -14,7 +15,7 @@ from scipy.sparse.linalg import splu
 
 from fiberwave import helmholtz_oracle
 from fiberwave.cli import graph_from_json
-from fiberwave.cross_section import Interval
+from fiberwave.cross_section import Disk, Interval
 from fiberwave.errors import (
     DimensionMismatch,
     GeometryInvalid,
@@ -588,6 +589,18 @@ def test_network_geometry_refusals(g, exc, fragment):
     with pytest.raises(exc, match=re.escape(fragment)) as info:
         solve_network(g, LAM, 1.0)
     assert type(info.value) is exc
+
+
+@pytest.mark.parametrize("lead", [Interval(2.0), Disk(1.0)], ids=["interval", "disk"])
+def test_network_refuses_a_stub_its_channel_does_not_match(lead):
+    """A lead whose cross-section is not the interval of its stub's width
+    is refused by the network solve as by the graph solve, with the same
+    error."""
+    g = duct_network(math.pi, H16)
+    g = MetricGraph((dataclasses.replace(g.channels[0], cross_section=lead), *g.channels[1:]), g.vertices)
+    for solve in (solve_network, lambda g, lam, eps: solve_scattering(g, SolveRequest(lam, eps))):
+        with pytest.raises(DimensionMismatch, match="does not match channel 1"):
+            solve(g, LAM, 1.0)
 
 
 def test_network_invalid_graph_is_typed():

@@ -136,30 +136,43 @@ def test_sweep_refinement_assembles_no_grid_lambda(monkeypatch):
     assert not {r.lam for r in sr.rows}.intersection(lams)
 
 
-def test_sweep_solves_every_dip_depth_in_one_batch(monkeypatch):
+def _benchmark_sweep_graph() -> tuple[MetricGraph, float, float]:
+    # a benchmark sweep network: 20 channels of one width
+    gen = load_perfbench("gen")
+    doc, lo, hi, _eigs = gen.sweep_network(np.random.default_rng([7, 0]), 3, 0.1, 60, 2)
+    return graph_from_json(doc), lo, hi
+
+
+@pytest.mark.parametrize("network", ["edge", "benchmark"])
+def test_sweep_assembles_each_lambda_once(monkeypatch, network):
+    # the grid solves assemble through graph_solver's name and the dip
+    # refinement through spectrum_tools': no lambda goes through either
+    # twice, so an off-grid bottom's depth comes off the refinement's own
+    # factor, and it equals a single solve's rcond there
+    import fiberwave.graph_solver as gs
     import fiberwave.spectrum_tools as st
 
-    batches = []
-    solve_batch = st.solve_batch
+    g, lo, hi = (dirichlet_edge_graph(1.0), 1.05, 2.0) if network == "edge" else _benchmark_sweep_graph()
+    lams = []
+    for mod in (gs, st):
 
-    def recording(g, reqs, **kw):
-        batches.append([req.lam for req in reqs])
-        return solve_batch(g, reqs, **kw)
+        def recording(g, reqs, assemble=mod.assemble_system):
+            lams.extend(req.lam for req in ([reqs] if isinstance(reqs, SolveRequest) else reqs))
+            return assemble(g, reqs)
 
-    monkeypatch.setattr(st, "solve_batch", recording)
-    sr = sweep(dirichlet_edge_graph(1.0), 0.1, 1.05, 2.0, 100)
-    grid = {r.lam for r in sr.rows}
-    off_grid = [batch for batch in batches if not grid.issuperset(batch)]
-    assert off_grid == [[lam_star for lam_star, _ in sr.dips]]  # three eigenvalues, one batch
+        monkeypatch.setattr(mod, "assemble_system", recording)
+    sr = sweep(g, 0.1, lo, hi, 60)
+    assert len(lams) == len(set(lams))
+    off_grid = [(lam_star, depth) for lam_star, depth in sr.dips if lam_star not in {r.lam for r in sr.rows}]
+    assert off_grid
+    for lam_star, depth in off_grid:
+        assert depth == solve_scattering(g, SolveRequest(lam_star, 0.1), allow_flagged=True).rcond
 
 
 def test_sweep_enumerates_each_shape_once(monkeypatch):
-    # a benchmark sweep network: 20 channels of one width
     import fiberwave.cross_section as cs
 
-    gen = load_perfbench("gen")
-    doc, lo, hi, _eigs = gen.sweep_network(np.random.default_rng([7, 0]), 3, 0.1, 60, 2)
-    g = graph_from_json(doc)
+    g, lo, hi = _benchmark_sweep_graph()
     assert len(g.channels) == 20 and len({c.cross_section for c in g.channels}) == 1
     levels = []
     enumerate_thresholds = cs.enumerate_thresholds
